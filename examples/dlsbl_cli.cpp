@@ -3,10 +3,13 @@
 // Usage:
 //   dlsbl_cli [--kind fe|nfe] [--z <double>] [--w <w1,w2,...>]
 //             [--strategy <index>:<name>]... [--blocks N] [--latency L]
-//             [--fine F] [--seed S] [--trace] [--repeat N] [--jobs N]
-//             [--driver sim|bus] [--log-level off|error|warn|info|debug]
+//             [--fine F] [--seed S] [--trace] [--churn-plan SPEC]
+//             [--repeat N] [--jobs N] [--log-level off|error|warn|info|debug]
 //             [--jsonl-out <file.jsonl>] [--trace-out <file.json>]
-//             [--metrics-out <file.txt>] [--profile]
+//             [--metrics-out <file.txt>] [--metrics-port P] [--profile]
+//
+// A bad flag value, or a config ProtocolConfig::validate() rejects (e.g.
+// --w 1, --blocks 0), exits with status 2 and names the error on stderr.
 //
 // --repeat N runs N independent instances whose seeds derive from --seed
 // (util::derive_seed), submitted through exec::RunExecutor; --jobs N (or
@@ -24,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -98,10 +102,6 @@ std::vector<double> parse_doubles(const std::string& csv) {
         "                 [--churn-plan SPEC]  fault-injection plan, e.g.\n"
         "                                      'crash:P3@0.1;restart:P3@0.5;\n"
         "                                      loss:P2@0.2-0.4;delay:P1@0-0.1+0.05'\n"
-        "                 [--driver sim|bus]    protocol driver: discrete-event\n"
-        "                                      sim (default) or the in-process\n"
-        "                                      message bus — artifacts are\n"
-        "                                      byte-identical either way\n"
         "                 [--repeat N]         run N seed-derived instances\n"
         "                 [--jobs N]           executor workers (or DLSBL_JOBS)\n"
         "                 [--log-level off|error|warn|info|debug]\n"
@@ -116,16 +116,13 @@ std::vector<double> parse_doubles(const std::string& csv) {
     std::exit(2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
     protocol::ProtocolConfig config;
     config.kind = dlt::NetworkKind::kNcpFE;
     config.z = 0.25;
     config.true_w = {1.0, 2.0, 1.5, 0.8};
     config.block_count = 1200;
     config.signature_algorithm = crypto::SignatureAlgorithm::kFast;
-    protocol::DriverKind driver = protocol::DriverKind::kSim;
     bool show_trace = false;
     bool profile = false;
     bool metrics_port_set = false;
@@ -187,16 +184,6 @@ int main(int argc, char** argv) {
         const auto plan = protocol::ChurnPlan::parse(value);
         if (!plan) return false;
         config.churn_plan = *plan;
-        return true;
-    });
-    spec.option("--driver", [&](const std::string& value) {
-        if (value == "sim") {
-            driver = protocol::DriverKind::kSim;
-        } else if (value == "bus") {
-            driver = protocol::DriverKind::kBus;
-        } else {
-            return false;
-        }
         return true;
     });
     spec.flag("--trace", [&] { show_trace = true; });
@@ -300,8 +287,7 @@ int main(int argc, char** argv) {
         auto run_config = config;
         run_config.seed = (repeat == 1) ? config.seed : slot.seed();
         return protocol::run_protocol(
-            protocol::RunRequest{run_config, driver},
-            [&](const protocol::RunInternals& internals) {
+            run_config, [&](const protocol::RunInternals& internals) {
                 // Fold the run's protocol counters and makespan histogram
                 // into the slot: live scrapes label them per run, and the
                 // executor's submission-order merge lands them in the
@@ -375,4 +361,17 @@ int main(int argc, char** argv) {
                      obs::Profiler::instance().report().c_str());
     }
     return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    // ProtocolConfig::validate() throws std::invalid_argument for a config
+    // no run can execute; report it like any other bad flag value.
+    try {
+        return run_cli(argc, argv);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "dlsbl_cli: %s\n", e.what());
+        return 2;
+    }
 }

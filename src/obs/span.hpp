@@ -3,10 +3,9 @@
 //
 //   * trace_id — one per run, derived from the run's seed, so the id is
 //     deterministic and two runs' spans never collide in a shared JSONL log;
-//   * span_id  — allocated sequentially in protocol order (the deterministic
-//     event ordering of whichever driver runs the protocol makes that order
-//     reproducible), so identical runs produce identical span graphs
-//     byte-for-byte;
+//   * span_id  — allocated sequentially in protocol order (the driver's
+//     deterministic event ordering makes that order reproducible), so
+//     identical runs produce identical span graphs byte-for-byte;
 //   * parent_id — the causal parent: run -> phase -> per-processor
 //     message/verify/compute/fine spans. Message sends carry their span id on
 //     the wire, so a *receiver's* spans parent on the *sender's* — that
@@ -17,9 +16,9 @@
 //   * the obs EventLog (events "span_begin"/"span_end", Debug level) —
 //     reaches JSONL sinks, so `--jsonl-out` + `--log-level debug` captures
 //     the full span graph;
-//   * an optional SpanSink — transports plug in their own mirror (the sim
-//     and bus drivers both forward into a sim::TraceRecorder via
-//     obs::TraceSpanSink), which reaches the Chrome-trace exporter.
+//   * an optional SpanSink — the transport plugs in its own mirror (the sim
+//     driver forwards into a sim::TraceRecorder via obs::TraceSpanSink),
+//     which reaches the Chrome-trace exporter.
 //
 // Span ids are allocated even when the Debug gate is closed, so turning
 // logging on or off never changes the ids (and therefore never changes any

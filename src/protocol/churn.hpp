@@ -2,9 +2,9 @@
 //
 // A ChurnPlan is a seed-deterministic availability trace: crash and
 // (possibly stale) restart events per processor, plus message-loss and
-// message-delay windows. Both drivers consult the same plan through
+// message-delay windows. The driver consults the plan through the pure
 // churn_ruling() at every delivery, so a fixed (config, plan) pair yields
-// byte-identical artifacts on the sim adapter and the BusDriver.
+// byte-identical artifacts run after run.
 //
 // The paper proves truthfulness on a *static* bus; the plan plus the
 // referee's churn responses (bid-deadline exclusion, processing watchdog,
@@ -107,9 +107,9 @@ struct ChurnPlan {
     static std::optional<ChurnPlan> parse(std::string_view text);
 };
 
-// What a driver should do with a frame, given the plan. Both drivers apply
-// rulings identically (including the trace note), which is what keeps churn
-// runs byte-identical across transports.
+// What the driver should do with a frame, given the plan. The ruling (and
+// its trace note) is a pure function of its inputs, which is what keeps
+// churn runs byte-identical per seed.
 enum class ChurnAction : std::uint8_t { kDeliver, kDrop, kDelay };
 
 struct DeliveryRuling {

@@ -95,7 +95,7 @@ RunContext::RunContext(Clock& clock, Transport& transport, ProtocolConfig config
     for (const auto& name : names_) ledger_.open_account(name);
 
     // Churn marks: every planned availability event gets a trace record, a
-    // metric and an instant span at its injection time, on both drivers.
+    // metric and an instant span at its injection time.
     if (config_.churn_plan.enabled()) {
         for (const auto& event : config_.churn_plan.events) {
             clock_.call_at(event.time, [this, event] {

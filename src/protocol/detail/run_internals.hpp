@@ -1,7 +1,7 @@
 // Observer access to a run's wired-up internals — context, referee, nodes,
 // trace and network metrics — before they are torn down. This surface is
-// for tests and forensics tooling; services should depend only on the
-// public runner.hpp (RunRequest -> ProtocolOutcome).
+// for tests and forensics tooling; everything else should depend only on the
+// public runner.hpp (ProtocolConfig -> ProtocolOutcome).
 #pragma once
 
 #include <functional>
@@ -30,9 +30,8 @@ struct RunInternals {
 };
 using RunObserver = std::function<void(const RunInternals&)>;
 
-// Observer-taking overloads (no observer defaults here: the observer-free
-// entry points live in the public runner.hpp).
+// Observer-taking overload (no observer default here: the observer-free
+// entry point lives in the public runner.hpp).
 ProtocolOutcome run_protocol(const ProtocolConfig& config, const RunObserver& observer);
-ProtocolOutcome run_protocol(const RunRequest& request, const RunObserver& observer);
 
 }  // namespace dlsbl::protocol

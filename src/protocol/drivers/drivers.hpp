@@ -1,17 +1,10 @@
-// Driver factories: the two transports that can host the sans-I/O protocol
-// cores. This header is transport-free (no sim:: names) so the core runner
-// can include it; the implementations live behind it.
+// Driver factory: the transport that hosts the sans-I/O protocol cores.
+// This header is transport-free (no sim:: names) so the core runner can
+// include it; the implementation lives behind it.
 //
-//   * sim driver — wraps the cores back into the discrete-event kernel
-//     (sim::Simulator + sim::Network). The reference transport; artifacts
-//     match the pre-split runner byte for byte.
-//   * bus driver — protocol::BusDriver, an in-process async message bus:
-//     mutex-free SPSC mailboxes per endpoint and a deadline wheel for
-//     timers, wall-clock-free. Seed of the dlsbld scheduling service.
-//
-// Both replicate the paper's one-port bus semantics (§2) with identical
-// timing formulas, event ordering and trace/metrics accounting, so a fixed
-// config produces byte-identical artifacts on either.
+// The sim driver wraps the cores back into the discrete-event kernel
+// (sim::Simulator + sim::Network), which implements the paper's one-port bus
+// semantics (§2); artifacts match the pre-split runner byte for byte.
 #pragma once
 
 #include <memory>
@@ -24,13 +17,9 @@ namespace dlsbl::protocol {
 // `z`: bus seconds per unit load; `control_latency`: constant delivery
 // latency for control messages; `control_seconds_per_byte`: when > 0,
 // control messages are charged bandwidth and occupy the bus (bench E22).
-// `churn_plan`: fault-injection plan; both drivers rule every delivery
-// through churn_ruling() so cut/delayed frames are byte-identical across
-// transports. The default (empty) plan makes delivery unconditional.
+// `churn_plan`: fault-injection plan; every delivery is ruled through
+// churn_ruling(). The default (empty) plan makes delivery unconditional.
 std::unique_ptr<Driver> make_sim_driver(double z, double control_latency,
-                                        double control_seconds_per_byte,
-                                        ChurnPlan churn_plan = {});
-std::unique_ptr<Driver> make_bus_driver(double z, double control_latency,
                                         double control_seconds_per_byte,
                                         ChurnPlan churn_plan = {});
 

@@ -150,8 +150,8 @@ class SimDriver final : public Driver, public Clock, public Transport {
     void finalize_metrics(obs::MetricsRegistry& registry) override {
         obs::export_network_metrics(network_.metrics(), registry);
         if (churn_plan_.enabled()) {
-            // Register both actions even at zero so churn runs always render
-            // the counters (identically on either driver).
+            // Register both actions even at zero so every churn run renders
+            // the same counter set.
             registry.counter("dlsbl_churn_messages_total", {{"action", "cut"}}).inc(cut_);
             registry.counter("dlsbl_churn_messages_total", {{"action", "delayed"}})
                 .inc(delayed_);

@@ -11,14 +11,13 @@
 //                 logical time. No wall clock anywhere.
 //   * Transport — one-port bus semantics (unicast / atomic broadcast / load
 //                 transfer + bus_free_at) plus the artifact side-channel the
-//                 drivers use to keep JSONL/trace/metrics byte-identical
-//                 across transports (phase accounting, verdict and compute
-//                 trace marks, span mirroring).
+//                 driver records JSONL/trace/metrics through (phase
+//                 accounting, verdict and compute trace marks, span
+//                 mirroring).
 //
-// Drivers (src/protocol/drivers/) own the other side: the sim adapter wraps
-// the cores back into the discrete-event runner; BusDriver runs them on
-// in-process SPSC mailboxes and a deadline wheel, wall-clock-free. Core
-// files must not name sim:: — dlsbl_lint rule `layering` gates on it.
+// The driver (src/protocol/drivers/) owns the other side: the sim adapter
+// wraps the cores back into the discrete-event runner. Core files must not
+// name sim:: — dlsbl_lint rule `layering` gates on it.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +47,8 @@ struct WireMessage {
 
 // Logical time: read now(), request callbacks at an absolute logical time or
 // after a logical delay. Scheduling order at equal times is the order the
-// requests were made — every driver must preserve that (it is what makes
-// artifacts identical across transports).
+// requests were made — the driver must preserve that (it is what makes
+// artifacts reproducible per seed).
 class Clock {
  public:
     virtual ~Clock() = default;
@@ -70,8 +69,8 @@ struct TransportStats {
 //
 // The note_* hooks exist so the cores never talk to a trace recorder or a
 // metrics object directly: the driver decides where phase changes, verdicts
-// and compute intervals are recorded (both shipped drivers mirror them into
-// a sim::TraceRecorder so the catapult/gantt exports stay byte-identical).
+// and compute intervals are recorded (the sim driver mirrors them into a
+// sim::TraceRecorder, which feeds the catapult/gantt exports).
 class Transport {
  public:
     virtual ~Transport() = default;
@@ -110,15 +109,9 @@ class Transport {
                                   std::uint64_t span_id,
                                   std::uint64_t parent_id) = 0;
     // Fault-injection mark (crash/restart events, suppressed executions,
-    // reallocations). Default no-op so transports without a churn concept
-    // need not care; both shipped drivers mirror it into the trace as a
-    // TraceKind::kChurn event.
+    // reallocations); the sim driver records it as a TraceKind::kChurn event.
     virtual void note_churn(double time, const std::string& actor,
-                            const std::string& detail) {
-        (void)time;
-        (void)actor;
-        (void)detail;
-    }
+                            const std::string& detail) = 0;
     // Sink the run's SpanBook mirrors into (may be null: spans then exist
     // only in the JSONL event log).
     [[nodiscard]] virtual obs::SpanSink* span_sink() = 0;
@@ -143,7 +136,7 @@ class Endpoint {
 };
 
 // Post-run artifact handles (trace recorder + network metrics); defined in
-// protocol/detail/run_internals.hpp so this header stays transport-free.
+// protocol/detail/artifacts.hpp so this header stays transport-free.
 struct RunArtifacts;
 
 // A transport/clock pair plus the event loop that runs the cores to

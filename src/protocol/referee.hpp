@@ -208,7 +208,4 @@ class RefereeCore final : public Endpoint {
     std::optional<PendingTermination> pending_termination_;
 };
 
-// The referee kept its pre-split name in most call sites.
-using Referee = RefereeCore;
-
 }  // namespace dlsbl::protocol

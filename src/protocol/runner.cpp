@@ -10,17 +10,9 @@
 
 namespace dlsbl::protocol {
 
-const char* to_string(DriverKind kind) noexcept {
-    switch (kind) {
-        case DriverKind::kSim: return "sim";
-        case DriverKind::kBus: return "bus";
-    }
-    return "?";
-}
-
-ProtocolOutcome run_protocol(const RunRequest& request, const RunObserver& observer) {
+ProtocolOutcome run_protocol(const ProtocolConfig& config, const RunObserver& observer) {
     OBS_SCOPE("protocol_run");
-    ProtocolConfig cfg = request.config;
+    ProtocolConfig cfg = config;
     cfg.validate();
     if (cfg.strategies.empty()) cfg.strategies.assign(cfg.true_w.size(), Strategy{});
 
@@ -29,12 +21,8 @@ ProtocolOutcome run_protocol(const RunRequest& request, const RunObserver& obser
                                   " blocks=" + std::to_string(cfg.block_count) +
                                   " seed=" + std::to_string(cfg.seed));
 
-    std::unique_ptr<Driver> driver =
-        request.driver == DriverKind::kBus
-            ? make_bus_driver(cfg.z, cfg.control_latency, cfg.control_seconds_per_byte,
-                              cfg.churn_plan)
-            : make_sim_driver(cfg.z, cfg.control_latency, cfg.control_seconds_per_byte,
-                              cfg.churn_plan);
+    std::unique_ptr<Driver> driver = make_sim_driver(
+        cfg.z, cfg.control_latency, cfg.control_seconds_per_byte, cfg.churn_plan);
     RunContext context(driver->clock(), driver->transport(), cfg);
 
     // Initialization (§4): every participant registers a key with the PKI.
@@ -189,16 +177,8 @@ ProtocolOutcome run_protocol(const RunRequest& request, const RunObserver& obser
     return outcome;
 }
 
-ProtocolOutcome run_protocol(const ProtocolConfig& config, const RunObserver& observer) {
-    return run_protocol(RunRequest{config, DriverKind::kSim}, observer);
-}
-
-ProtocolOutcome run_protocol(const RunRequest& request) {
-    return run_protocol(request, RunObserver{});
-}
-
 ProtocolOutcome run_protocol(const ProtocolConfig& config) {
-    return run_protocol(RunRequest{config, DriverKind::kSim}, RunObserver{});
+    return run_protocol(config, RunObserver{});
 }
 
 }  // namespace dlsbl::protocol

@@ -11,9 +11,8 @@
 // the outcome (allocations, payments, fines, utilities, communication
 // metrics).
 //
-// The minimal surface here — RunRequest in, ProtocolOutcome out — is what
-// services (dlsbld) embed. Tests and forensics tooling that need the wired
-// internals use protocol/detail/run_internals.hpp instead.
+// Tests and forensics tooling that need the wired internals use the
+// observer-taking overload in protocol/detail/run_internals.hpp instead.
 #pragma once
 
 #include "protocol/config.hpp"
@@ -21,22 +20,6 @@
 
 namespace dlsbl::protocol {
 
-// Which transport hosts the cores. Artifacts (ProtocolOutcome, ledger,
-// JSONL, trace, metrics) are byte-identical across drivers for a fixed
-// config — the fixed-seed equivalence suite gates on it.
-enum class DriverKind {
-    kSim,  // discrete-event simulator (sim::Simulator + sim::Network)
-    kBus,  // in-process async message bus (SPSC mailboxes + deadline wheel)
-};
-
-const char* to_string(DriverKind kind) noexcept;
-
-struct RunRequest {
-    ProtocolConfig config;
-    DriverKind driver = DriverKind::kSim;
-};
-
 ProtocolOutcome run_protocol(const ProtocolConfig& config);
-ProtocolOutcome run_protocol(const RunRequest& request);
 
 }  // namespace dlsbl::protocol

@@ -290,15 +290,12 @@ TEST(ChurnProperty, ChurnBatchesAreJobsInvariant) {
 
         exec::RunExecutor pool({.jobs = jobs, .root_seed = 0xC4A11ull});
         const auto outcomes = pool.map(12, [&](exec::RunSlot& slot) {
-            // Every batch element carries churn, alternating plan shapes and
-            // drivers so the merge covers exclusion, realloc, and loss paths.
+            // Every batch element carries churn, alternating plan shapes so
+            // the merge covers exclusion, realloc, and loss paths.
             const Instance inst = decode_instance((slot.index() * 4 + 1 +
                                                    slot.index() % 3) %
                                                   kInstances);
-            auto config = instance_config(inst, slot.seed());
-            const DriverKind driver =
-                slot.index() % 2 == 0 ? DriverKind::kSim : DriverKind::kBus;
-            return run_protocol(RunRequest{config, driver});
+            return run_protocol(instance_config(inst, slot.seed()));
         });
         log.flush();
         log.reset();

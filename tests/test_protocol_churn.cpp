@@ -4,8 +4,8 @@
 // things: (1) the protocol-level response — bid-deadline exclusion, the
 // processing watchdog, NCP-NFE reallocation of a dead processor's remaining
 // blocks, pro-rata settlement, or termination when the load origin dies —
-// and (2) byte-identity between the sim adapter and the BusDriver for the
-// full artifact set (outcome, ledger, JSONL, trace, catapult, metrics).
+// and (2) that a repeat of the run reproduces the full artifact set (outcome,
+// ledger, JSONL, trace, catapult, metrics) byte for byte.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -33,8 +33,8 @@ ProtocolConfig base_config(dlt::NetworkKind kind = dlt::NetworkKind::kNcpFE) {
     return config;
 }
 
-// Outcome rendering including the churn fields, so a sim/bus divergence in
-// any ruling shows up as a byte difference here, not just in the trace.
+// Outcome rendering including the churn fields, so a divergence in any
+// ruling shows up as a byte difference here, not just in the trace.
 std::string render_outcome(const ProtocolOutcome& outcome) {
     std::ostringstream out;
     out.precision(17);
@@ -82,7 +82,7 @@ struct RunCapture {
     std::string run_metrics;
 };
 
-RunCapture capture(const ProtocolConfig& config, DriverKind kind) {
+RunCapture capture(const ProtocolConfig& config) {
     auto& log = obs::EventLog::instance();
     log.reset();
     std::ostringstream jsonl;
@@ -91,7 +91,7 @@ RunCapture capture(const ProtocolConfig& config, DriverKind kind) {
 
     RunCapture capture;
     capture.result =
-        run_protocol(RunRequest{config, kind}, [&](const RunInternals& internals) {
+        run_protocol(config, [&](const RunInternals& internals) {
             capture.ledger = render_ledger(internals.context.ledger());
             capture.trace = internals.trace().render();
             capture.catapult = obs::catapult_from_trace(internals.trace());
@@ -104,21 +104,21 @@ RunCapture capture(const ProtocolConfig& config, DriverKind kind) {
     return capture;
 }
 
-// Runs the config under both drivers, asserts artifact byte-identity, and
-// returns the sim capture for scenario-level assertions.
+// Runs the config twice, asserts artifact byte-identity, and returns the
+// first capture for scenario-level assertions.
 RunCapture expect_equivalent(const ProtocolConfig& config, const std::string& label) {
-    RunCapture sim = capture(config, DriverKind::kSim);
-    const RunCapture bus = capture(config, DriverKind::kBus);
-    EXPECT_FALSE(sim.outcome.empty()) << label;
-    EXPECT_FALSE(sim.trace.empty()) << label;
-    EXPECT_FALSE(sim.jsonl.empty()) << label;
-    EXPECT_EQ(sim.outcome, bus.outcome) << label;
-    EXPECT_EQ(sim.ledger, bus.ledger) << label;
-    EXPECT_EQ(sim.jsonl, bus.jsonl) << label;
-    EXPECT_EQ(sim.trace, bus.trace) << label;
-    EXPECT_EQ(sim.catapult, bus.catapult) << label;
-    EXPECT_EQ(sim.run_metrics, bus.run_metrics) << label;
-    return sim;
+    RunCapture first = capture(config);
+    const RunCapture second = capture(config);
+    EXPECT_FALSE(first.outcome.empty()) << label;
+    EXPECT_FALSE(first.trace.empty()) << label;
+    EXPECT_FALSE(first.jsonl.empty()) << label;
+    EXPECT_EQ(first.outcome, second.outcome) << label;
+    EXPECT_EQ(first.ledger, second.ledger) << label;
+    EXPECT_EQ(first.jsonl, second.jsonl) << label;
+    EXPECT_EQ(first.trace, second.trace) << label;
+    EXPECT_EQ(first.catapult, second.catapult) << label;
+    EXPECT_EQ(first.run_metrics, second.run_metrics) << label;
+    return first;
 }
 
 // ---- crash before bidding: bid-deadline exclusion ---------------------------
@@ -201,7 +201,7 @@ TEST(ChurnScenarios, CrashMidComputeReallocatesRemainingBlocks) {
     // Pro-rata settlement: the dead processor keeps pay for the meter-proved
     // prefix, strictly less than its full-assignment pay would have been.
     EXPECT_GT(dead.payment, 0.0);
-    const auto honest = capture(base_config(), DriverKind::kSim).result;
+    const auto honest = capture(base_config()).result;
     EXPECT_LT(dead.payment, honest.processor("P4").payment);
     EXPECT_EQ(outcome.fined_count(), 0u);
 }
@@ -226,7 +226,7 @@ TEST(ChurnScenarios, SilentAfterComputeStillSettlesAtDeadline) {
     EXPECT_GT(outcome.user_paid, 0.0);
     // Identical bids and block division -> identical settled payments to the
     // static run, just reached via the deadline path.
-    const auto honest = capture(base_config(), DriverKind::kSim).result;
+    const auto honest = capture(base_config()).result;
     for (const auto& p : outcome.processors) {
         EXPECT_DOUBLE_EQ(p.payment, honest.processor(p.name).payment) << p.name;
     }
@@ -281,7 +281,7 @@ TEST(ChurnScenarios, DelayWindowOnlyShiftsTimingNotMoney) {
     EXPECT_TRUE(outcome.churn_excluded.empty());
     EXPECT_TRUE(outcome.churn_dead.empty());
     EXPECT_EQ(outcome.fined_count(), 0u);
-    const auto honest = capture(base_config(), DriverKind::kSim).result;
+    const auto honest = capture(base_config()).result;
     for (const auto& p : outcome.processors) {
         EXPECT_DOUBLE_EQ(p.payment, honest.processor(p.name).payment) << p.name;
         EXPECT_EQ(p.blocks_assigned, honest.processor(p.name).blocks_assigned) << p.name;

@@ -29,13 +29,11 @@ struct RunArtifacts {
     bool operator==(const RunArtifacts&) const = default;
 };
 
-RunArtifacts capture_run(const protocol::ProtocolConfig& config,
-                         protocol::DriverKind driver = protocol::DriverKind::kSim) {
+RunArtifacts capture_run(const protocol::ProtocolConfig& config) {
     RunArtifacts artifacts;
     std::ostringstream keys;
     const auto outcome = protocol::run_protocol(
-        protocol::RunRequest{config, driver},
-        [&](const protocol::RunInternals& internals) {
+        config, [&](const protocol::RunInternals& internals) {
             artifacts.trace = internals.trace().render();
             const auto& pki = internals.context.pki();
             for (const auto& name : internals.context.processor_names()) {
@@ -113,10 +111,10 @@ TEST(ProtocolCryptoIdentity, ScalarInlineEqualsSimdParallel) {
 
 // Deferred batch signature verification must be OBSERVABLY IDENTICAL to
 // eager per-arrival verification: same verdicts at the same sim times, same
-// fines, same artifacts — at any batch size and on either driver. The
-// scenarios pick the paths where a wrong flush point would show: honest
-// accumulation, a payment-phase verdict, a mid-bidding double-bid dispute,
-// and churn (exclusions, reallocation, canonical settlement).
+// fines, same artifacts — at any batch size. The scenarios pick the paths
+// where a wrong flush point would show: honest accumulation, a payment-phase
+// verdict, a mid-bidding double-bid dispute, and churn (exclusions,
+// reallocation, canonical settlement).
 TEST(ProtocolCryptoIdentity, DeferredBatchVerificationMatchesEager) {
     struct Scenario {
         const char* name;
@@ -147,12 +145,6 @@ TEST(ProtocolCryptoIdentity, DeferredBatchVerificationMatchesEager) {
             EXPECT_EQ(eager, capture_run(config))
                 << scenario.name << " diverges at verify_batch=" << batch;
         }
-
-        // Same equivalence on the bus driver (different delivery machinery,
-        // same arrival order for a fixed seed).
-        config.verify_batch = 16;
-        EXPECT_EQ(eager, capture_run(config, protocol::DriverKind::kBus))
-            << scenario.name << " diverges on the bus driver";
     }
 }
 

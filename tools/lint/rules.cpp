@@ -488,10 +488,10 @@ void rule_unordered_iteration(const FileInfo& info, const LexedFile& lexed,
 
 // The sans-I/O protocol core must stay transport- and time-agnostic: state
 // machines see logical time through protocol::Clock and the wire through
-// protocol::Transport, so the same cores run under the discrete-event sim
-// adapter and the BusDriver. Any `#include "sim/..."` or `sim::` token in
-// core files is a layering breach. Comments are stripped by the lexer, so
-// prose mentions of the sim layer stay legal.
+// protocol::Transport, and only the driver (protocol/drivers/) binds them to
+// the discrete-event sim. Any `#include "sim/..."` or `sim::` token in core
+// files is a layering breach. Comments are stripped by the lexer, so prose
+// mentions of the sim layer stay legal.
 void rule_layering(const FileInfo& info, const LexedFile& lexed,
                    std::vector<Finding>* out) {
     if (!info.in_protocol_core) return;
