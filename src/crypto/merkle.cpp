@@ -59,6 +59,81 @@ MerkleProof MerkleTree::prove(std::size_t leaf_index) const {
     return proof;
 }
 
+namespace {
+
+// One level of a multiproof walk. `index` holds the ascending node indices
+// known at this level; climb_level calls step(k, joined) once per parent,
+// where `joined` says index[k + 1] is index[k]'s sibling (else the sibling
+// must come from the proof), and leaves the parents' indices in `index`.
+// prove_many and verify_many share it so they agree on sibling order.
+template <typename Step>
+bool climb_level(std::vector<std::uint64_t>& index, Step&& step) {
+    std::size_t parents = 0;
+    for (std::size_t k = 0; k < index.size(); ++parents) {
+        const std::uint64_t i = index[k];
+        const bool joined = i % 2 == 0 && k + 1 < index.size() && index[k + 1] == i + 1;
+        if (!step(k, joined)) return false;
+        index[parents] = i / 2;
+        k += joined ? 2 : 1;
+    }
+    index.resize(parents);
+    return true;
+}
+
+bool ascending_below(std::span<const std::uint64_t> indices, std::size_t bound) {
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+        if (indices[k] >= bound || (k > 0 && indices[k] <= indices[k - 1])) return false;
+    }
+    return true;
+}
+
+}  // namespace
+
+std::vector<Digest> MerkleTree::prove_many(std::span<const std::uint64_t> indices) const {
+    if (!ascending_below(indices, leaf_count_)) {
+        throw std::out_of_range("MerkleTree: multiproof indices must ascend below leaf count");
+    }
+    std::vector<Digest> siblings;
+    std::vector<std::uint64_t> index(indices.begin(), indices.end());
+    for (std::size_t lvl = 0; lvl + 1 < levels_.size(); ++lvl) {
+        climb_level(index, [&](std::size_t k, bool joined) {
+            if (!joined) siblings.push_back(levels_[lvl][index[k] ^ 1]);
+            return true;
+        });
+    }
+    return siblings;
+}
+
+bool MerkleTree::verify_many(const Digest& root, std::size_t leaf_count,
+                             std::span<const std::uint64_t> indices,
+                             std::span<const Digest> leaves,
+                             std::span<const Digest> siblings) {
+    if (indices.empty() || leaves.size() != indices.size() ||
+        !ascending_below(indices, leaf_count)) {
+        return false;
+    }
+    std::vector<std::uint64_t> index(indices.begin(), indices.end());
+    std::vector<Digest> nodes(leaves.begin(), leaves.end());
+    std::vector<Digest> pairs;
+    std::size_t used = 0;
+    // One pass per level of the padded tree: ceil(log2 leaf_count) passes.
+    for (std::size_t width = 1; width < leaf_count; width *= 2) {
+        pairs.clear();
+        const bool complete = climb_level(index, [&](std::size_t k, bool joined) {
+            if (!joined && used == siblings.size()) return false;
+            const Digest& other = joined ? nodes[k + 1] : siblings[used++];
+            const bool left = index[k] % 2 == 0;
+            pairs.push_back(left ? nodes[k] : other);
+            pairs.push_back(left ? other : nodes[k]);
+            return true;
+        });
+        if (!complete) return false;
+        nodes.resize(pairs.size() / 2);
+        Sha256::hash_pair_many(pairs, nodes);
+    }
+    return used == siblings.size() && nodes.front() == root;
+}
+
 bool MerkleTree::verify(const Digest& root, const Digest& leaf, const MerkleProof& proof) {
     Digest node = leaf;
     std::size_t index = proof.leaf_index;

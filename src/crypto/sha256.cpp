@@ -143,6 +143,22 @@ void init_states(std::uint32_t* states, std::size_t lanes) noexcept {
     }
 }
 
+// Writes block `blk` of the padded encoding of the `len`-byte message `msg`
+// (padded_blocks(len) blocks in all) to `dst`.
+void padded_block(std::uint8_t* dst, const std::uint8_t* msg, std::size_t len,
+                  std::size_t blk) noexcept {
+    if ((blk + 1) * 64 <= len) {
+        std::memcpy(dst, msg + blk * 64, 64);
+        return;
+    }
+    std::memset(dst, 0, 64);
+    if (blk * 64 < len) std::memcpy(dst, msg + blk * 64, len - blk * 64);
+    if (blk == len / 64) dst[len % 64] = 0x80;
+    if (blk == padded_blocks(len) - 1) {
+        store_be64(dst + 56, static_cast<std::uint64_t>(len) * 8);
+    }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -301,6 +317,28 @@ void Sha256::hash_pair_many(std::span<const Digest> pairs,
     }
 }
 
+void Sha256::hash_fixed_many(const std::uint8_t* in, std::size_t len, Digest* out,
+                             std::size_t n) noexcept {
+    const Sha256Backend& backend = active_backend();
+    const std::size_t nblocks = padded_blocks(len);
+    alignas(64) std::uint32_t states[kBatch * 8];
+    alignas(64) std::uint8_t blocks[kBatch * 64];
+
+    for (std::size_t base = 0; base < n; base += kBatch) {
+        const std::size_t lanes = std::min(kBatch, n - base);
+        init_states(states, lanes);
+        for (std::size_t blk = 0; blk < nblocks; ++blk) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+                padded_block(blocks + 64 * l, in + len * (base + l), len, blk);
+            }
+            backend.compress_lanes(states, blocks, lanes);
+        }
+        for (std::size_t l = 0; l < lanes; ++l) {
+            extract_digest(states + 8 * l, out[base + l]);
+        }
+    }
+}
+
 void Sha256::hash_many(std::span<const util::Bytes> inputs,
                        std::span<Digest> out) noexcept {
     const std::size_t n = std::min(inputs.size(), out.size());
@@ -327,21 +365,7 @@ void Sha256::hash_many(std::span<const util::Bytes> inputs,
             for (std::size_t l = 0; l < lanes; ++l) {
                 if (blk >= nblocks[l]) continue;
                 const util::Bytes& msg = inputs[base + l];
-                const std::size_t len = msg.size();
-                std::uint8_t* dst = lane_blocks + 64 * live;
-                if ((blk + 1) * 64 <= len) {
-                    std::memcpy(dst, msg.data() + blk * 64, 64);
-                } else {
-                    std::memset(dst, 0, 64);
-                    if (blk * 64 < len) {
-                        std::memcpy(dst, msg.data() + blk * 64, len - blk * 64);
-                    }
-                    if (blk == len / 64) dst[len % 64] = 0x80;
-                    if (blk == nblocks[l] - 1) {
-                        store_be64(dst + 56,
-                                   static_cast<std::uint64_t>(len) * 8);
-                    }
-                }
+                padded_block(lane_blocks + 64 * live, msg.data(), msg.size(), blk);
                 std::memcpy(lane_states + 8 * live, states + 8 * l,
                             8 * sizeof(std::uint32_t));
                 lane_index[live] = l;

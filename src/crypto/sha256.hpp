@@ -7,12 +7,12 @@
 // FIPS 180-4 known-answer set in tests/test_sha256_kat.cpp.
 //
 // Besides the streaming one-shot API there is a batch surface —
-// hash32_many / hash_pair_many / hash_many — that hashes N independent
-// messages through a multi-lane compression backend (SHA-NI, 8-way AVX2,
-// or a 4-way interleaved portable loop; chosen once at runtime by CPU
-// dispatch, overridable via sha256_set_backend or the DLSBL_SHA256_IMPL
-// environment variable). All backends are bit-identical; batching changes
-// throughput, never output.
+// hash32_many / hash_pair_many / hash_fixed_many / hash_many — that hashes
+// N independent messages through a multi-lane compression backend
+// (SHA-NI, 8-way AVX2, or a 4-way interleaved portable loop; chosen once at
+// runtime by CPU dispatch, overridable via sha256_set_backend or the
+// DLSBL_SHA256_IMPL environment variable). All backends are bit-identical;
+// batching changes throughput, never output.
 #pragma once
 
 #include <array>
@@ -61,6 +61,12 @@ class Sha256 {
     // 2*out.size(). Adjacent-pair layout matches a Merkle level in place.
     static void hash_pair_many(std::span<const Digest> pairs,
                                std::span<Digest> out) noexcept;
+
+    // out[i] = H(in[len*i .. len*i+len-1]): n messages of one common length,
+    // packed back to back. Every lane pads identically, so no lane ever
+    // idles — the shape of committing or re-checking many data blocks.
+    static void hash_fixed_many(const std::uint8_t* in, std::size_t len, Digest* out,
+                                std::size_t n) noexcept;
 
     // out[i] = hash(inputs[i]) for arbitrary, possibly mixed lengths.
     static void hash_many(std::span<const util::Bytes> inputs,

@@ -1,70 +1,96 @@
 #include "protocol/blocks.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
+
+#include "obs/profiler.hpp"
 
 namespace dlsbl::protocol {
 
 namespace {
 
-crypto::Digest leaf_digest(std::uint64_t id, const crypto::Digest& payload) {
-    util::ByteWriter w;
-    w.str("block-leaf");
-    w.u64(id);
-    w.raw(std::span<const std::uint8_t>(payload.data(), payload.size()));
-    return crypto::Sha256::hash(std::span<const std::uint8_t>(w.data().data(), w.data().size()));
+// Payload and leaf preimages have fixed lengths, so whole data sets and
+// whole batches hash through one Sha256::hash_fixed_many call. The layouts
+// are the util::ByteWriter encodings str(tag) || u64 ... (little-endian,
+// length-prefixed tag), written in place.
+constexpr std::string_view kPayloadTag = "job-data";
+constexpr std::string_view kLeafTag = "block-leaf";
+constexpr std::size_t kPayloadInput = 8 + kPayloadTag.size() + 8 + 8;  // tag, job, id
+constexpr std::size_t kLeafInput = 8 + kLeafTag.size() + 8 + 32;      // tag, id, payload
+
+std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return p + 8;
 }
 
-std::vector<crypto::Digest> build_leaves(std::uint64_t job_id, std::size_t block_count) {
-    if (block_count == 0) throw std::invalid_argument("DataSet: need at least one block");
-    std::vector<crypto::Digest> leaves;
-    leaves.reserve(block_count);
-    for (std::uint64_t id = 0; id < block_count; ++id) {
-        leaves.push_back(leaf_digest(id, DataSet::payload_for(job_id, id)));
+std::uint8_t* put_tag(std::uint8_t* p, std::string_view tag) {
+    p = put_u64(p, tag.size());
+    std::memcpy(p, tag.data(), tag.size());
+    return p + tag.size();
+}
+
+void put_payload_input(std::uint8_t* p, std::uint64_t job_id, std::uint64_t id) {
+    put_u64(put_u64(put_tag(p, kPayloadTag), job_id), id);
+}
+
+void put_leaf_input(std::uint8_t* p, std::uint64_t id, const crypto::Digest& payload) {
+    std::memcpy(put_u64(put_tag(p, kLeafTag), id), payload.data(), payload.size());
+}
+
+crypto::Digest leaf_digest(std::uint64_t id, const crypto::Digest& payload) {
+    std::array<std::uint8_t, kLeafInput> in{};
+    put_leaf_input(in.data(), id, payload);
+    return crypto::Sha256::hash(in);
+}
+
+std::vector<crypto::Digest> payload_digests(std::uint64_t job_id,
+                                            std::span<const std::uint64_t> ids) {
+    std::vector<std::uint8_t> in(ids.size() * kPayloadInput);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        put_payload_input(in.data() + k * kPayloadInput, job_id, ids[k]);
     }
-    return leaves;
+    std::vector<crypto::Digest> out(ids.size());
+    crypto::Sha256::hash_fixed_many(in.data(), kPayloadInput, out.data(), ids.size());
+    return out;
+}
+
+std::vector<crypto::Digest> leaf_digests(std::span<const std::uint64_t> ids,
+                                         std::span<const crypto::Digest> payloads) {
+    std::vector<std::uint8_t> in(ids.size() * kLeafInput);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        put_leaf_input(in.data() + k * kLeafInput, ids[k], payloads[k]);
+    }
+    std::vector<crypto::Digest> out(ids.size());
+    crypto::Sha256::hash_fixed_many(in.data(), kLeafInput, out.data(), ids.size());
+    return out;
+}
+
+crypto::MerkleTree commit(std::uint64_t job_id, std::size_t block_count) {
+    OBS_SCOPE("block_commit");
+    if (block_count == 0) throw std::invalid_argument("DataSet: need at least one block");
+    std::vector<std::uint64_t> ids(block_count);
+    std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+    return crypto::MerkleTree(leaf_digests(ids, payload_digests(job_id, ids)));
 }
 
 }  // namespace
 
-util::Bytes Block::serialize() const {
-    util::ByteWriter w;
-    w.u64(id);
-    w.raw(std::span<const std::uint8_t>(payload_digest.data(), payload_digest.size()));
-    w.bytes(proof.serialize());
-    return w.take();
-}
-
-std::optional<Block> Block::deserialize(std::span<const std::uint8_t> data) {
-    try {
-        util::ByteReader r(data);
-        Block block;
-        block.id = r.u64();
-        for (auto& b : block.payload_digest) b = r.u8();
-        const auto proof = crypto::MerkleProof::deserialize(r.bytes());
-        if (!proof || !r.exhausted()) return std::nullopt;
-        block.proof = *proof;
-        return block;
-    } catch (const std::out_of_range&) {
-        return std::nullopt;
-    }
-}
-
 DataSet::DataSet(std::uint64_t job_id, std::size_t block_count)
-    : job_id_(job_id), digests_(build_leaves(job_id, block_count)), tree_(digests_) {}
+    : job_id_(job_id), tree_(commit(job_id, block_count)) {}
 
 crypto::Digest DataSet::payload_for(std::uint64_t job_id, std::uint64_t id) {
-    util::ByteWriter w;
-    w.str("job-data");
-    w.u64(job_id);
-    w.u64(id);
-    return crypto::Sha256::hash(std::span<const std::uint8_t>(w.data().data(), w.data().size()));
+    std::array<std::uint8_t, kPayloadInput> in{};
+    put_payload_input(in.data(), job_id, id);
+    return crypto::Sha256::hash(in);
 }
 
 Block DataSet::block(std::uint64_t id) const {
-    if (id >= digests_.size()) throw std::out_of_range("DataSet: bad block id");
+    if (id >= block_count()) throw std::out_of_range("DataSet: bad block id");
     Block block;
     block.id = id;
     block.payload_digest = payload_for(job_id_, id);
@@ -76,6 +102,49 @@ bool DataSet::verify_block(const crypto::Digest& root, const Block& block) {
     if (block.proof.leaf_index != block.id) return false;
     return crypto::MerkleTree::verify(root, leaf_digest(block.id, block.payload_digest),
                                       block.proof);
+}
+
+BlockBatch DataSet::batch(std::span<const std::uint64_t> ids) const {
+    std::vector<std::uint64_t> distinct(ids.begin(), ids.end());
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+    BlockBatch out;
+    out.proof = tree_.prove_many(distinct);  // throws on an id >= block_count
+    const auto payloads = payload_digests(job_id_, ids);
+    out.entries.reserve(ids.size());
+    for (std::size_t k = 0; k < ids.size(); ++k) out.entries.push_back({ids[k], payloads[k]});
+    return out;
+}
+
+bool DataSet::verify_batch(const crypto::Digest& root, std::size_t block_count,
+                           const BlockBatch& batch) {
+    OBS_SCOPE("block_verify");
+    const auto& entries = batch.entries;
+    if (entries.empty()) return batch.proof.empty();
+    // Visit entries by ascending id (an honest range batch already is), so
+    // repeats are adjacent: each must repeat its first digest.
+    std::vector<std::size_t> order(entries.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto by_id = [&](std::size_t a, std::size_t b) {
+        return entries[a].id < entries[b].id;
+    };
+    if (!std::is_sorted(order.begin(), order.end(), by_id)) {
+        std::sort(order.begin(), order.end(), by_id);
+    }
+    std::vector<std::uint64_t> ids;
+    std::vector<crypto::Digest> payloads;
+    for (const std::size_t k : order) {
+        const BlockEntry& entry = entries[k];
+        if (entry.id >= block_count) return false;
+        if (!ids.empty() && ids.back() == entry.id) {
+            if (payloads.back() != entry.payload_digest) return false;
+            continue;
+        }
+        ids.push_back(entry.id);
+        payloads.push_back(entry.payload_digest);
+    }
+    return crypto::MerkleTree::verify_many(root, block_count, ids,
+                                           leaf_digests(ids, payloads), batch.proof);
 }
 
 std::vector<std::size_t> DataSet::blocks_for_allocation(std::size_t block_count,

@@ -6,14 +6,17 @@
 //
 // Implementation: block contents are synthetic (derived from the block id);
 // the user commits to the whole data set with a Merkle tree over the block
-// digests and signs the root. Each shipped block carries its id and Merkle
-// proof, so *any* participant — in particular the referee during an
-// Allocating-Load dispute — can check that a block belongs to the original
-// data set and that its payload is intact.
+// digests and signs the root. Blocks travel in batches: each batch lists its
+// (id, payload digest) entries and carries one Merkle multiproof over its
+// distinct ids, so *any* participant — in particular the referee during an
+// Allocating-Load dispute — can check that every block belongs to the
+// original data set and that its payload is intact. A contiguous batch of k
+// blocks costs k leaf hashes plus at most k - 1 + 2⌈log2 B⌉ pair hashes.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "crypto/merkle.hpp"
@@ -22,13 +25,28 @@
 
 namespace dlsbl::protocol {
 
+// One block with its own Merkle path: the single-block reference form.
 struct Block {
     std::uint64_t id = 0;
     crypto::Digest payload_digest{};  // stands in for the actual data bytes
     crypto::MerkleProof proof;
+};
+
+// One block as a batch ships it: 40 bytes on the wire.
+struct BlockEntry {
+    std::uint64_t id = 0;
+    crypto::Digest payload_digest{};
+};
+
+// Blocks in shipping order plus MerkleTree::prove_many over their sorted
+// distinct ids. The canonical codec lives with the message bodies that
+// carry batches (protocol/messages.cpp and the flat wire::BlockBatchView).
+struct BlockBatch {
+    std::vector<BlockEntry> entries;
+    std::vector<crypto::Digest> proof;
 
     [[nodiscard]] util::Bytes serialize() const;
-    static std::optional<Block> deserialize(std::span<const std::uint8_t> data);
+    static std::optional<BlockBatch> deserialize(std::span<const std::uint8_t> data);
 };
 
 class DataSet {
@@ -37,7 +55,7 @@ class DataSet {
     // builds the Merkle commitment.
     DataSet(std::uint64_t job_id, std::size_t block_count);
 
-    [[nodiscard]] std::size_t block_count() const noexcept { return digests_.size(); }
+    [[nodiscard]] std::size_t block_count() const noexcept { return tree_.leaf_count(); }
     [[nodiscard]] const crypto::Digest& root() const noexcept { return tree_.root(); }
     [[nodiscard]] std::uint64_t job_id() const noexcept { return job_id_; }
 
@@ -46,6 +64,18 @@ class DataSet {
 
     // Integrity check against a known root: proof binds (id, payload digest).
     static bool verify_block(const crypto::Digest& root, const Block& block);
+
+    // The batch shipping `ids` in the given order (repeats allowed), with
+    // one multiproof over the distinct ids. Throws on an id >= block_count.
+    [[nodiscard]] BlockBatch batch(std::span<const std::uint64_t> ids) const;
+
+    // Batch authenticity against a known root over `block_count` blocks:
+    // every id is below block_count, repeated ids carry the same digest, and
+    // the multiproof rebuilds the root with no sibling left over. An empty
+    // batch is authentic iff its proof is empty. All entries of a batch
+    // share its verdict.
+    static bool verify_batch(const crypto::Digest& root, std::size_t block_count,
+                             const BlockBatch& batch);
 
     // Deterministic payload digest for block `id` of job `job_id` — the
     // synthetic stand-in for hashing the real data bytes.
@@ -58,7 +88,6 @@ class DataSet {
 
  private:
     std::uint64_t job_id_;
-    std::vector<crypto::Digest> digests_;
     crypto::MerkleTree tree_;
 };
 

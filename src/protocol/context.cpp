@@ -157,25 +157,27 @@ void RunContext::post_fine(double predicted_compensation_sum) {
 
 void RunContext::ship_load(const std::string& from, const std::string& to,
                            LoadBatch batch, std::uint64_t span_id) {
-    // The bus witness: record exactly what crosses the shared medium.
-    auto& record = shipped_[to];
-    for (const auto& block : batch.blocks) {
-        if (DataSet::verify_block(dataset_.root(), block)) {
-            ++record.valid_blocks;
-        } else {
-            ++record.invalid_blocks;
-        }
-        record.block_ids.push_back(block.id);
-    }
-    const double units =
-        static_cast<double>(batch.blocks.size()) / static_cast<double>(config_.block_count);
+    const double units = static_cast<double>(batch.blocks.entries.size()) /
+                         static_cast<double>(config_.block_count);
+    util::Bytes payload = wire::flat_encode(batch);
+    // The bus witness: keep exactly what crosses the shared medium.
+    shipped_[to].unverified.push_back(std::move(batch.blocks));
     transport_.transfer_load(from, to, units, to_wire(MsgType::kLoadDelivery),
-                             wire::flat_encode(batch), span_id);
+                             std::move(payload), span_id);
 }
 
-const ShippedRecord* RunContext::shipped_to(const std::string& to) const {
+const ShippedRecord* RunContext::shipped_to(const std::string& to) {
     const auto it = shipped_.find(to);
-    return it == shipped_.end() ? nullptr : &it->second;
+    if (it == shipped_.end()) return nullptr;
+    Shipments& shipments = it->second;
+    for (const BlockBatch& batch : shipments.unverified) {
+        const bool authentic =
+            DataSet::verify_batch(dataset_.root(), dataset_.block_count(), batch);
+        (authentic ? shipments.record.valid_blocks : shipments.record.invalid_blocks) +=
+            batch.entries.size();
+    }
+    shipments.unverified.clear();
+    return &shipments.record;
 }
 
 double RunContext::clamp_rate(const std::string& who, double requested) const {

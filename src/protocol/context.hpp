@@ -7,9 +7,12 @@
 //     the agent, that writes the meter;
 //   * the shared-bus witness — on a bus every station physically observes
 //     every transfer, so the referee can consult the record of what the LO
-//     actually shipped (ship_load() writes it). This implements the paper's
-//     assumption that "the network and communication protocols are
-//     tamper-proof" and lets the referee resolve the α̃_i < α_i cases of §4.
+//     actually shipped. ship_load() keeps each shipped batch (entries and
+//     multiproof, about 40 bytes per block); shipped_to() verifies them the
+//     first time a dispute reads them, so an honest run hashes nothing
+//     here. This implements the paper's assumption that "the network and
+//     communication protocols are tamper-proof" and lets the referee
+//     resolve the α̃_i < α_i cases of §4.
 //
 // The context is part of the sans-I/O core: it reaches the outside world
 // only through the protocol::Clock / protocol::Transport pair a driver
@@ -38,9 +41,8 @@ namespace dlsbl::protocol {
 class RefereeCore;
 
 struct ShippedRecord {
-    std::size_t valid_blocks = 0;    // authentic blocks observed on the bus
-    std::size_t invalid_blocks = 0;  // blocks failing the integrity check
-    std::vector<std::uint64_t> block_ids;
+    std::size_t valid_blocks = 0;    // blocks of authentic batches seen on the bus
+    std::size_t invalid_blocks = 0;  // blocks of batches failing the integrity check
 };
 
 class RunContext {
@@ -101,11 +103,13 @@ class RunContext {
 
     // --- tamper-proof load path ----------------------------------------------
     // The LO ships blocks to `to` through the one-port bus; the bus witness
-    // records counts and integrity. `span_id` (optional) stamps the sender's
-    // causal span onto the transfer.
+    // keeps the batch. `span_id` (optional) stamps the sender's causal span
+    // onto the transfer.
     void ship_load(const std::string& from, const std::string& to, LoadBatch batch,
                    std::uint64_t span_id = 0);
-    [[nodiscard]] const ShippedRecord* shipped_to(const std::string& to) const;
+    // The witness's counts for `to` (nullptr if nothing was shipped there),
+    // after verifying every batch not yet verified.
+    [[nodiscard]] const ShippedRecord* shipped_to(const std::string& to);
 
     // Runs `block_count` blocks at per-unit time `rate` on behalf of `who`;
     // rate is clamped to >= the processor's true w (you cannot compute
@@ -162,7 +166,11 @@ class RunContext {
     bool fine_posted_ = false;
     double fine_amount_ = 0.0;
 
-    std::map<std::string, ShippedRecord> shipped_;
+    struct Shipments {
+        std::vector<BlockBatch> unverified;
+        ShippedRecord record;
+    };
+    std::map<std::string, Shipments> shipped_;
     RefereeCore* referee_ = nullptr;
     std::size_t expected_workers_ = 0;
     std::size_t finished_workers_ = 0;

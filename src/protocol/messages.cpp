@@ -17,23 +17,36 @@ auto parse_guard(Fn&& fn) -> decltype(fn()) {
     }
 }
 
-void write_blocks(util::ByteWriter& w, const std::vector<Block>& blocks) {
-    w.u64(blocks.size());
-    for (const auto& block : blocks) w.bytes(block.serialize());
+// BlockBatch layout: u64 n, n × (u64 id, 32-byte payload digest), u64 s,
+// s × 32-byte sibling — inline, no length prefix.
+void write_batch(util::ByteWriter& w, const BlockBatch& batch) {
+    w.u64(batch.entries.size());
+    for (const auto& entry : batch.entries) {
+        w.u64(entry.id);
+        w.raw(entry.payload_digest);
+    }
+    w.u64(batch.proof.size());
+    for (const auto& sibling : batch.proof) w.raw(sibling);
 }
 
-std::optional<std::vector<Block>> read_blocks(util::ByteReader& r,
-                                              std::uint64_t sanity_cap = 1 << 20) {
+void read_digest(util::ByteReader& r, crypto::Digest& d) {
+    for (auto& byte : d) byte = r.u8();
+}
+
+std::optional<BlockBatch> read_batch(util::ByteReader& r) {
+    BlockBatch batch;
     const std::uint64_t n = r.u64();
-    if (n > sanity_cap) return std::nullopt;
-    std::vector<Block> blocks;
-    blocks.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        auto block = Block::deserialize(r.bytes());
-        if (!block) return std::nullopt;
-        blocks.push_back(std::move(*block));
+    if (n > 1 << 20 || r.remaining() < n * 40) return std::nullopt;
+    batch.entries.resize(n);
+    for (auto& entry : batch.entries) {
+        entry.id = r.u64();
+        read_digest(r, entry.payload_digest);
     }
-    return blocks;
+    const std::uint64_t s = r.u64();
+    if (s > 1 << 20 || r.remaining() < s * 32) return std::nullopt;
+    batch.proof.resize(s);
+    for (auto& sibling : batch.proof) read_digest(r, sibling);
+    return batch;
 }
 
 void write_signed(util::ByteWriter& w, const crypto::SignedMessage& msg) {
@@ -68,10 +81,25 @@ std::optional<BidBody> BidBody::deserialize(std::span<const std::uint8_t> data) 
     });
 }
 
+util::Bytes BlockBatch::serialize() const {
+    util::ByteWriter w;
+    write_batch(w, *this);
+    return w.take();
+}
+
+std::optional<BlockBatch> BlockBatch::deserialize(std::span<const std::uint8_t> data) {
+    return parse_guard([&]() -> std::optional<BlockBatch> {
+        util::ByteReader r(data);
+        auto batch = read_batch(r);
+        if (!batch || !r.exhausted()) return std::nullopt;
+        return batch;
+    });
+}
+
 util::Bytes LoadBatch::serialize() const {
     util::ByteWriter w;
     w.str(origin);
-    write_blocks(w, blocks);
+    write_batch(w, blocks);
     return w.take();
 }
 
@@ -80,7 +108,7 @@ std::optional<LoadBatch> LoadBatch::deserialize(std::span<const std::uint8_t> da
         util::ByteReader r(data);
         LoadBatch batch;
         batch.origin = r.str();
-        auto blocks = read_blocks(r);
+        auto blocks = read_batch(r);
         if (!blocks || !r.exhausted()) return std::nullopt;
         batch.blocks = std::move(*blocks);
         return batch;
@@ -116,7 +144,8 @@ util::Bytes AllocComplaintBody::serialize() const {
     w.str(complainant);
     w.u64(expected_blocks);
     w.u64(received_blocks);
-    write_blocks(w, held_blocks);
+    w.u64(held_batches.size());
+    for (const auto& batch : held_batches) write_batch(w, batch);
     return w.take();
 }
 
@@ -131,9 +160,14 @@ std::optional<AllocComplaintBody> AllocComplaintBody::deserialize(
         body.complainant = r.str();
         body.expected_blocks = r.u64();
         body.received_blocks = r.u64();
-        auto blocks = read_blocks(r);
-        if (!blocks || !r.exhausted()) return std::nullopt;
-        body.held_blocks = std::move(*blocks);
+        const std::uint64_t n = r.u64();
+        if (n > 1 << 20) return std::nullopt;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            auto batch = read_batch(r);
+            if (!batch) return std::nullopt;
+            body.held_batches.push_back(std::move(*batch));
+        }
+        if (!r.exhausted()) return std::nullopt;
         return body;
     });
 }

@@ -26,7 +26,7 @@ enum class MsgType : std::uint32_t {
     kBidVectorRequest,    // referee -> {LO, complainant}
     kBidVectorResponse,   // node -> referee: the m signed bids it holds
     kMediateRequest,      // referee -> LO: transmit missing blocks via me
-    kMediateBlocks,       // LO -> referee: the requested blocks
+    kMediateBlocks,       // LO -> referee: one batch over the requested blocks
     kMediateRefuse,       // LO -> referee: refusal (finable)
     kMeterBroadcast,      // referee -> all: (φ_1, ..., φ_m)
     kPaymentVector,       // P_i -> referee: S_Pi(P_i, Q)
@@ -56,10 +56,11 @@ struct BidBody {
     static std::optional<BidBody> deserialize(std::span<const std::uint8_t> data);
 };
 
-// A batch of blocks moving over the bus.
+// A batch of blocks moving over the bus (a load delivery, or the LO's
+// answer to a mediation request).
 struct LoadBatch {
     std::string origin;
-    std::vector<Block> blocks;
+    BlockBatch blocks;
 
     [[nodiscard]] util::Bytes serialize() const;
     static std::optional<LoadBatch> deserialize(std::span<const std::uint8_t> data);
@@ -87,8 +88,9 @@ struct AllocComplaintBody {
     std::string complainant;
     std::uint64_t expected_blocks = 0;
     std::uint64_t received_blocks = 0;
-    // For kOverShipped / kBadIntegrity: everything the complainant holds.
-    std::vector<Block> held_blocks;
+    // For kOverShipped / kBadIntegrity: every batch the complainant
+    // accepted, forwarded verbatim (entries and multiproof).
+    std::vector<BlockBatch> held_batches;
 
     [[nodiscard]] util::Bytes serialize() const;
     static std::optional<AllocComplaintBody> deserialize(std::span<const std::uint8_t> data);

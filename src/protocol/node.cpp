@@ -280,23 +280,17 @@ void NodeCore::ship_loads() {
                 std::floor(static_cast<double>(count) * strategy_.lo_ship_factor));
         }
         if (count == 0 && block_counts_[i] == 0) continue;
-        LoadBatch batch;
-        batch.origin = name();
-        batch.blocks.reserve(count);
+        // Over-shipping runs past the intended range into the LO's own
+        // blocks, so every extra block is still authentic.
+        std::vector<std::uint64_t> ids(count);
         for (std::size_t k = 0; k < count; ++k) {
-            // Over-shipping runs past the intended range into the LO's own
-            // blocks, so every extra block is still authentic.
-            const std::uint64_t id =
-                (start[i] + k) % ctx_.config().block_count;
-            Block block = ctx_.dataset().block(id);
-            if (strategy_.lo_corrupt_blocks) block.payload_digest[0] ^= 0xff;
-            batch.blocks.push_back(std::move(block));
+            ids[k] = (start[i] + k) % ctx_.config().block_count;
         }
         const obs::SpanContext ship_span = ctx_.spans().instant(
             "ship:" + ctx_.processor_names()[i], name(), ctx_.clock().now(),
             ctx_.phase_span().span_id);
-        ctx_.ship_load(name(), ctx_.processor_names()[i], std::move(batch),
-                       ship_span.span_id);
+        ctx_.ship_load(name(), ctx_.processor_names()[i],
+                       load_batch(ids, strategy_.lo_corrupt_blocks), ship_span.span_id);
     }
 
     // The LO's own share never crosses the bus.
@@ -314,6 +308,10 @@ void NodeCore::ship_loads() {
 }
 
 void NodeCore::handle_load_delivery(const WireMessage& message) {
+    // Only the LO ships load. A delivery relayed by any other peer would
+    // count toward this node's assignment and get it fined for an
+    // unfounded over-shipment complaint (Lemma 5.2).
+    if (message.from != ctx_.load_origin()) return;
     flush_pending_bids();  // delivery handling reads the allocation state
     if (ctx_.churn_enabled() && processing_started_ && extra_pending_ > 0) {
         // A churn reallocation: the LO shipped part of the dead processor's
@@ -324,17 +322,7 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
         const obs::SpanContext verify_span = ctx_.spans().open(
             "verify_blocks", name(), ctx_.clock().now(),
             message.span_id != 0 ? message.span_id : ctx_.phase_span().span_id);
-        std::size_t valid = 0;
-        wire::Cursor extra_blocks = extra_batch->blocks;
-        for (std::uint64_t k = 0; k < extra_batch->block_count; ++k) {
-            const auto block_view = wire::BlockView::next(extra_blocks);
-            if (!block_view) break;  // unreachable: parse() pre-walked the records
-            Block block = block_view->to_owned();
-            if (DataSet::verify_block(ctx_.dataset().root(), block)) {
-                ++valid;
-                held_blocks_.push_back(std::move(block));
-            }
-        }
+        const std::size_t valid = accept_batch(extra_batch->blocks);
         ctx_.spans().close(verify_span, ctx_.clock().now());
         extra_received_ += valid;
         extra_pending_ = 0;
@@ -350,20 +338,8 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
     const obs::SpanContext verify_span = ctx_.spans().open(
         "verify_blocks", name(), ctx_.clock().now(),
         message.span_id != 0 ? message.span_id : ctx_.phase_span().span_id);
-    std::size_t valid = 0;
-    std::size_t invalid = 0;
-    wire::Cursor block_records = batch->blocks;
-    for (std::uint64_t k = 0; k < batch->block_count; ++k) {
-        const auto block_view = wire::BlockView::next(block_records);
-        if (!block_view) break;  // unreachable: parse() pre-walked the records
-        Block block = block_view->to_owned();
-        if (DataSet::verify_block(ctx_.dataset().root(), block)) {
-            ++valid;
-            held_blocks_.push_back(std::move(block));
-        } else {
-            ++invalid;
-        }
-    }
+    const std::size_t valid = accept_batch(batch->blocks);
+    const std::size_t invalid = batch->blocks.entry_count - valid;
     valid_received_ += valid;
     ctx_.spans().close(verify_span, ctx_.clock().now());
     compute_parent_span_ = verify_span.span_id;
@@ -377,7 +353,7 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
     if (invalid > 0) {
         if (strategy_.report_deviations) {
             file_complaint(AllocComplaintKind::kBadIntegrity, expected, valid_received_,
-                           held_blocks_);
+                           held_batches_);
             return;
         }
     }
@@ -389,7 +365,7 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
     } else if (valid_received_ > expected) {
         if (strategy_.report_deviations) {
             file_complaint(AllocComplaintKind::kOverShipped, expected, valid_received_,
-                           held_blocks_);
+                           held_batches_);
             return;
         }
     }
@@ -401,8 +377,28 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
     }
 }
 
+std::size_t NodeCore::accept_batch(const wire::BlockBatchView& view) {
+    BlockBatch batch = view.to_owned();
+    if (!DataSet::verify_batch(ctx_.dataset().root(), ctx_.dataset().block_count(),
+                               batch)) {
+        return 0;
+    }
+    held_batches_.push_back(std::move(batch));
+    return held_batches_.back().entries.size();
+}
+
+LoadBatch NodeCore::load_batch(std::span<const std::uint64_t> ids, bool corrupt) const {
+    LoadBatch batch;
+    batch.origin = name();
+    batch.blocks = ctx_.dataset().batch(ids);
+    if (corrupt) {
+        for (auto& entry : batch.blocks.entries) entry.payload_digest[0] ^= 0xff;
+    }
+    return batch;
+}
+
 void NodeCore::file_complaint(AllocComplaintKind kind, std::size_t expected,
-                              std::size_t received, std::vector<Block> held) {
+                              std::size_t received, std::vector<BlockBatch> held) {
     if (complaint_filed_) return;
     complaint_filed_ = true;
     AllocComplaintBody body;
@@ -410,7 +406,7 @@ void NodeCore::file_complaint(AllocComplaintKind kind, std::size_t expected,
     body.complainant = name();
     body.expected_blocks = expected;
     body.received_blocks = received;
-    body.held_blocks = std::move(held);
+    body.held_batches = std::move(held);
     ctx_.transport().unicast(name(), ctx_.referee_name(),
                              to_wire(MsgType::kAllocComplaint), wire::flat_encode(body));
 }
@@ -539,17 +535,11 @@ void NodeCore::handle_mediate_request(const WireMessage& message) {
                                  to_wire(MsgType::kMediateRefuse), w.take());
         return;
     }
-    LoadBatch batch;
-    batch.origin = name();
-    wire::Cursor ids = request->ids;
-    for (std::uint64_t k = 0; k < request->id_count; ++k) {
-        const std::uint64_t id = ids.u64();
-        Block block = ctx_.dataset().block(id % ctx_.config().block_count);
-        if (strategy_.lo_corrupt_blocks) block.payload_digest[0] ^= 0xff;
-        batch.blocks.push_back(std::move(block));
-    }
-    ctx_.transport().unicast(name(), ctx_.referee_name(),
-                             to_wire(MsgType::kMediateBlocks), wire::flat_encode(batch));
+    std::vector<std::uint64_t> ids(request->id_count);
+    wire::Cursor requested = request->ids;
+    for (auto& id : ids) id = requested.u64() % ctx_.config().block_count;
+    ctx_.transport().unicast(name(), ctx_.referee_name(), to_wire(MsgType::kMediateBlocks),
+                             wire::flat_encode(load_batch(ids, strategy_.lo_corrupt_blocks)));
 }
 
 // ---- churn handling (DESIGN.md "Churn model") -------------------------------
@@ -609,19 +599,16 @@ void NodeCore::handle_realloc(const WireMessage& message) {
                 offset += count;
                 continue;  // the LO's own share never crosses the bus
             }
-            LoadBatch batch;
-            batch.origin = name();
-            batch.blocks.reserve(count);
+            std::vector<std::uint64_t> ids(count);
             for (std::uint64_t k = 0; k < count; ++k) {
-                const std::uint64_t id =
-                    (dead_start + offset + k) % ctx_.config().block_count;
-                batch.blocks.push_back(ctx_.dataset().block(id));
+                ids[k] = (dead_start + offset + k) % ctx_.config().block_count;
             }
             offset += count;
             const obs::SpanContext ship_span = ctx_.spans().instant(
                 "ship-extra:" + pname, name(), ctx_.clock().now(),
                 message.span_id != 0 ? message.span_id : ctx_.phase_span().span_id);
-            ctx_.ship_load(name(), pname, std::move(batch), ship_span.span_id);
+            ctx_.ship_load(name(), pname, load_batch(ids, /*corrupt=*/false),
+                           ship_span.span_id);
         }
         if (mine > 0) {
             extra_received_ += mine;

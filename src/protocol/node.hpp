@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,13 @@ class NodeCore final : public Endpoint {
     void maybe_finish_bidding();
     void ship_loads();
     void handle_load_delivery(const WireMessage& message);
+    // Verifies one delivered batch; an authentic batch is held as complaint
+    // evidence. Returns its entry count if authentic, else 0.
+    std::size_t accept_batch(const wire::BlockBatchView& view);
+    // The LO's batch over `ids` (in order); lo_corrupt_blocks flips every
+    // payload digest.
+    [[nodiscard]] LoadBatch load_batch(std::span<const std::uint64_t> ids,
+                                       bool corrupt) const;
     void begin_processing(std::size_t blocks);
     void handle_meter_broadcast(const WireMessage& message);
     void handle_exclude(const WireMessage& message);
@@ -80,7 +88,7 @@ class NodeCore final : public Endpoint {
     void handle_bid_vector_request();
     void handle_mediate_request(const WireMessage& message);
     void file_complaint(AllocComplaintKind kind, std::size_t expected, std::size_t received,
-                        std::vector<Block> held);
+                        std::vector<BlockBatch> held);
     void maybe_false_accuse(const crypto::SignedMessage& genuine);
 
     RunContext& ctx_;
@@ -108,7 +116,7 @@ class NodeCore final : public Endpoint {
     std::vector<std::size_t> block_counts_;   // block-rounded assignment
     std::size_t blocks_assigned_ = 0;
     std::size_t valid_received_ = 0;
-    std::vector<Block> held_blocks_;
+    std::vector<BlockBatch> held_batches_;    // authentic batches received
     bool processing_started_ = false;
     bool complaint_filed_ = false;
     // Causal parent for the compute span: the verify span of the delivery

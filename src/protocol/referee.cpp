@@ -144,7 +144,7 @@ void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
 void RefereeCore::handle_alloc_complaint(const WireMessage& message) {
     flush_deferred();  // dispute handling emits observable requests
     if (verdict_issued_ || stage_ != DisputeStage::kNone) return;
-    // Cold dispute path: the complaint's held blocks must outlive this
+    // Cold dispute path: the complaint's held batches must outlive this
     // frame (stored in open_complaint_), so the owning legacy decode is
     // the right tool here.  DLSBL_LINT_ALLOW(protocol-codec)
     auto complaint = AllocComplaintBody::deserialize(message.payload);
@@ -315,8 +315,11 @@ void RefereeCore::adjudicate_alloc_complaint() {
         // α̃_i > α_i, substantiated by the complainant's authentic surplus
         // blocks (checked against the user's commitment) and the bus record.
         std::size_t authentic_held = 0;
-        for (const auto& block : complaint.held_blocks) {
-            if (DataSet::verify_block(ctx_.dataset().root(), block)) ++authentic_held;
+        for (const auto& batch : complaint.held_batches) {
+            if (DataSet::verify_batch(ctx_.dataset().root(), ctx_.dataset().block_count(),
+                                      batch)) {
+                authentic_held += batch.entries.size();
+            }
         }
         count_accusation("allocation", authentic_held > expected);
         if (authentic_held > expected) {
@@ -362,17 +365,13 @@ void RefereeCore::handle_mediate_blocks(const WireMessage& message) {
         issue_verdict({lo}, "malformed mediation response by " + lo, /*terminate=*/true);
         return;
     }
-    wire::Cursor block_records = batch->blocks;
-    for (std::uint64_t k = 0; k < batch->block_count; ++k) {
-        const auto block_view = wire::BlockView::next(block_records);
-        if (!block_view || !DataSet::verify_block(ctx_.dataset().root(),
-                                                  block_view->to_owned())) {
-            // "load unit integrity fails, P_lo is fined"
-            count_accusation("allocation", /*substantiated=*/true);
-            issue_verdict({lo}, "mediated block integrity failure by " + lo,
-                          /*terminate=*/true);
-            return;
-        }
+    if (!DataSet::verify_batch(ctx_.dataset().root(), ctx_.dataset().block_count(),
+                               batch->blocks.to_owned())) {
+        // "load unit integrity fails, P_lo is fined"
+        count_accusation("allocation", /*substantiated=*/true);
+        issue_verdict({lo}, "mediated block integrity failure by " + lo,
+                      /*terminate=*/true);
+        return;
     }
     // The LO produced authentic blocks it had verifiably not shipped (bus
     // record): the short assignment is substantiated.

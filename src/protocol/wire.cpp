@@ -17,23 +17,6 @@ std::optional<SignedMessageView> take_signed(Cursor& c) {
     return SignedMessageView::parse(nested);
 }
 
-// One length-prefixed block record, as read_blocks does per element.
-std::optional<BlockView> take_block(Cursor& c) {
-    const auto nested = c.bytes();
-    if (!c.ok()) return std::nullopt;
-    return BlockView::parse(nested);
-}
-
-// Validates `count` block records starting at `c` (bounds and structure
-// only — no copies), leaving `c` past the last one. Returns false exactly
-// when read_blocks would have returned nullopt.
-bool walk_blocks(Cursor& c, std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (!take_block(c)) return false;
-    }
-    return true;
-}
-
 }  // namespace
 
 // ---- signed envelopes ------------------------------------------------------
@@ -103,71 +86,46 @@ void encode(const BidBody& body, FlatWriter& w) noexcept {
     w.f64(body.bid);
 }
 
-// ---- blocks ----------------------------------------------------------------
+// ---- block batches ---------------------------------------------------------
 
-std::optional<BlockView> BlockView::parse(std::span<const std::uint8_t> data) {
-    Cursor c(data);
-    BlockView view;
-    view.id = c.u64();
-    view.payload_digest = c.raw(32);
-    const auto proof = c.bytes();
-    if (!c.exhausted()) return std::nullopt;
-    // Nested MerkleProof: u64 leaf_index, u64 count (<= 64), count * 32
-    // sibling bytes, nothing trailing — MerkleProof::deserialize verbatim.
-    Cursor p(proof);
-    view.leaf_index = p.u64();
-    const std::uint64_t count = p.u64();
-    if (!p.ok() || count > 64 || p.remaining() != count * 32) return std::nullopt;
-    view.siblings = p.raw(count * 32);
+std::optional<BlockBatchView> BlockBatchView::next(Cursor& c) {
+    BlockBatchView view;
+    view.entry_count = c.u64();
+    if (!c.ok() || view.entry_count > kSanityCap) return std::nullopt;
+    view.entries = c.raw(40 * view.entry_count);
+    const std::uint64_t sibling_count = c.u64();
+    if (!c.ok() || sibling_count > kSanityCap) return std::nullopt;
+    view.proof = c.raw(32 * sibling_count);
+    if (!c.ok()) return std::nullopt;
     return view;
 }
 
-std::optional<BlockView> BlockView::next(Cursor& c) { return take_block(c); }
-
-Block BlockView::to_owned() const {
-    Block block;
-    block.id = id;
-    std::memcpy(block.payload_digest.data(), payload_digest.data(),
-                block.payload_digest.size());
-    block.proof.leaf_index = leaf_index;
-    block.proof.siblings.resize(sibling_count());
-    std::memcpy(block.proof.siblings.data(), siblings.data(), siblings.size());
-    return block;
-}
-
-std::size_t encoded_size(const Block& block) noexcept {
-    return 8 + 32 + bytes_size(16 + 32 * block.proof.siblings.size());
-}
-
-void encode(const Block& block, FlatWriter& w) noexcept {
-    w.u64(block.id);
-    w.raw(std::span<const std::uint8_t>(block.payload_digest.data(),
-                                        block.payload_digest.size()));
-    w.u64(16 + 32 * block.proof.siblings.size());
-    w.u64(block.proof.leaf_index);
-    w.u64(block.proof.siblings.size());
-    for (const auto& sibling : block.proof.siblings) {
-        w.raw(std::span<const std::uint8_t>(sibling.data(), sibling.size()));
+BlockBatch BlockBatchView::to_owned() const {
+    BlockBatch batch;
+    batch.entries.resize(entry_count);
+    Cursor c(entries);
+    for (auto& entry : batch.entries) {
+        entry.id = c.u64();
+        std::memcpy(entry.payload_digest.data(), c.raw(32).data(), 32);
     }
+    batch.proof.resize(proof.size() / 32);
+    std::memcpy(batch.proof.data(), proof.data(), proof.size());
+    return batch;
 }
 
-namespace {
-
-std::size_t blocks_size(const std::vector<Block>& blocks) noexcept {
-    std::size_t total = 8;
-    for (const auto& block : blocks) total += bytes_size(encoded_size(block));
-    return total;
+std::size_t encoded_size(const BlockBatch& batch) noexcept {
+    return 8 + 40 * batch.entries.size() + 8 + 32 * batch.proof.size();
 }
 
-void encode_blocks(const std::vector<Block>& blocks, FlatWriter& w) noexcept {
-    w.u64(blocks.size());
-    for (const auto& block : blocks) {
-        w.u64(encoded_size(block));
-        encode(block, w);
+void encode(const BlockBatch& batch, FlatWriter& w) noexcept {
+    w.u64(batch.entries.size());
+    for (const auto& entry : batch.entries) {
+        w.u64(entry.id);
+        w.raw(entry.payload_digest);
     }
+    w.u64(batch.proof.size());
+    for (const auto& sibling : batch.proof) w.raw(sibling);
 }
-
-}  // namespace
 
 // ---- load batch ------------------------------------------------------------
 
@@ -175,20 +133,19 @@ std::optional<LoadBatchView> LoadBatchView::parse(std::span<const std::uint8_t> 
     Cursor c(data);
     LoadBatchView view;
     view.origin = c.str();
-    view.block_count = c.u64();
-    if (!c.ok() || view.block_count > kSanityCap) return std::nullopt;
-    view.blocks = c;  // positioned at the first block record
-    if (!walk_blocks(c, view.block_count) || !c.exhausted()) return std::nullopt;
+    const auto blocks = BlockBatchView::next(c);
+    if (!blocks || !c.exhausted()) return std::nullopt;
+    view.blocks = *blocks;
     return view;
 }
 
 std::size_t encoded_size(const LoadBatch& batch) noexcept {
-    return str_size(batch.origin) + blocks_size(batch.blocks);
+    return str_size(batch.origin) + encoded_size(batch.blocks);
 }
 
 void encode(const LoadBatch& batch, FlatWriter& w) noexcept {
     w.str(batch.origin);
-    encode_blocks(batch.blocks, w);
+    encode(batch.blocks, w);
 }
 
 // ---- double-bid evidence ---------------------------------------------------
@@ -234,12 +191,17 @@ std::optional<AllocComplaintView> AllocComplaintView::parse(
     view.held_count = c.u64();
     if (!c.ok() || view.held_count > kSanityCap) return std::nullopt;
     view.held = c;
-    if (!walk_blocks(c, view.held_count) || !c.exhausted()) return std::nullopt;
+    for (std::uint64_t i = 0; i < view.held_count; ++i) {
+        if (!BlockBatchView::next(c)) return std::nullopt;
+    }
+    if (!c.exhausted()) return std::nullopt;
     return view;
 }
 
 std::size_t encoded_size(const AllocComplaintBody& body) noexcept {
-    return 1 + str_size(body.complainant) + 8 + 8 + blocks_size(body.held_blocks);
+    std::size_t total = 1 + str_size(body.complainant) + 8 + 8 + 8;
+    for (const auto& batch : body.held_batches) total += encoded_size(batch);
+    return total;
 }
 
 void encode(const AllocComplaintBody& body, FlatWriter& w) noexcept {
@@ -247,7 +209,8 @@ void encode(const AllocComplaintBody& body, FlatWriter& w) noexcept {
     w.str(body.complainant);
     w.u64(body.expected_blocks);
     w.u64(body.received_blocks);
-    encode_blocks(body.held_blocks, w);
+    w.u64(body.held_batches.size());
+    for (const auto& batch : body.held_batches) encode(batch, w);
 }
 
 // ---- bid vector ------------------------------------------------------------

@@ -137,7 +137,10 @@ class FlatWriter {
         raw(b);
     }
     void raw(std::span<const std::uint8_t> b) noexcept {
-        if (auto* p = claim(b.size())) std::memcpy(p, b.data(), b.size());
+        // An empty field's data() may be null, which memcpy must never see.
+        if (auto* p = claim(b.size()); p != nullptr && !b.empty()) {
+            std::memcpy(p, b.data(), b.size());
+        }
     }
 
  private:
@@ -201,36 +204,25 @@ struct BidView {
 [[nodiscard]] std::size_t encoded_size(const BidBody& body) noexcept;
 void encode(const BidBody& body, FlatWriter& w) noexcept;
 
-struct BlockView {
-    std::uint64_t id = 0;
-    std::span<const std::uint8_t> payload_digest;  // 32 bytes
-    std::uint64_t leaf_index = 0;
-    std::span<const std::uint8_t> siblings;  // sibling_count * 32 bytes
+// One block batch record at the cursor — the layout inside LoadBatch and
+// complaint bodies: u64 n, n × (u64 id, 32-byte payload digest), u64 s,
+// s × 32-byte multiproof sibling. No length prefix.
+struct BlockBatchView {
+    std::uint64_t entry_count = 0;
+    std::span<const std::uint8_t> entries;  // entry_count * 40 bytes
+    std::span<const std::uint8_t> proof;    // sibling count * 32 bytes
 
-    [[nodiscard]] std::size_t sibling_count() const noexcept {
-        return siblings.size() / 32;
-    }
-    [[nodiscard]] crypto::Digest digest() const noexcept {
-        crypto::Digest d{};
-        std::memcpy(d.data(), payload_digest.data(), d.size());
-        return d;
-    }
-    [[nodiscard]] Block to_owned() const;
+    // Owning copy: receivers keep authentic batches as complaint evidence.
+    [[nodiscard]] BlockBatch to_owned() const;
 
-    // Parses one length-prefixed block record at the cursor (the layout
-    // inside LoadBatch / complaint bodies).
-    static std::optional<BlockView> next(Cursor& c);
-    static std::optional<BlockView> parse(std::span<const std::uint8_t> data);
+    static std::optional<BlockBatchView> next(Cursor& c);
 };
-[[nodiscard]] std::size_t encoded_size(const Block& block) noexcept;
-void encode(const Block& block, FlatWriter& w) noexcept;  // inner layout, no length prefix
+[[nodiscard]] std::size_t encoded_size(const BlockBatch& batch) noexcept;
+void encode(const BlockBatch& batch, FlatWriter& w) noexcept;
 
 struct LoadBatchView {
     std::string_view origin;
-    std::uint64_t block_count = 0;
-    // Remaining cursor positioned at the first block record; callers
-    // iterate with BlockView::next exactly block_count times.
-    Cursor blocks{std::span<const std::uint8_t>{}};
+    BlockBatchView blocks;
 
     static std::optional<LoadBatchView> parse(std::span<const std::uint8_t> data);
 };
@@ -253,7 +245,7 @@ struct AllocComplaintView {
     std::uint64_t expected_blocks = 0;
     std::uint64_t received_blocks = 0;
     std::uint64_t held_count = 0;
-    Cursor held{std::span<const std::uint8_t>{}};  // iterate with BlockView::next
+    Cursor held{std::span<const std::uint8_t>{}};  // iterate with BlockBatchView::next
 
     static std::optional<AllocComplaintView> parse(std::span<const std::uint8_t> data);
 };

@@ -125,6 +125,31 @@ TEST(CryptoBatch, Hash32ManyAndPairManyMatchScalar) {
     }
 }
 
+// Fixed-length batches at every padding shape (empty, one block, the
+// 55/56-byte boundary, the 58-byte block leaf, several blocks) and lane
+// counts around the 64-lane batch: hash_fixed_many must equal the scalar
+// one-shot per message, on every backend.
+TEST(CryptoBatch, HashFixedManyMatchesScalar) {
+    util::Xoshiro256 rng{0xf1edu};
+    BackendGuard guard;
+    for (const std::size_t len : {0u, 1u, 32u, 55u, 56u, 58u, 63u, 64u, 65u, 130u}) {
+        for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+            util::Bytes in(len * n);
+            for (auto& byte : in) byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+            for (const auto& backend : sha256_available_backends()) {
+                ASSERT_TRUE(sha256_set_backend(backend));
+                std::vector<Digest> out(n);
+                Sha256::hash_fixed_many(in.data(), len, out.data(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(out[i], Sha256::hash(std::span<const std::uint8_t>(
+                                          in.data() + len * i, len)))
+                        << "backend=" << backend << " len=" << len << " index=" << i;
+                }
+            }
+        }
+    }
+}
+
 // Lamport/WOTS/Merkle artifacts must not depend on the backend.
 TEST(CryptoBatch, SignatureSchemesIdenticalAcrossBackends) {
     const Digest seed = test_seed(1);

@@ -60,7 +60,7 @@ TEST(FuzzCodecs, MediateRequest) {
 TEST(FuzzCodecs, MeterVector) { fuzz_decoder<protocol::MeterVectorBody>(7, 3000, 256); }
 TEST(FuzzCodecs, PaymentBody) { fuzz_decoder<protocol::PaymentBody>(8, 3000, 256); }
 TEST(FuzzCodecs, TerminateBody) { fuzz_decoder<protocol::TerminateBody>(9, 3000, 256); }
-TEST(FuzzCodecs, Block) { fuzz_decoder<protocol::Block>(10, 2000, 512); }
+TEST(FuzzCodecs, Block) { fuzz_decoder<protocol::BlockBatch>(10, 2000, 512); }
 TEST(FuzzCodecs, SignedMessage) { fuzz_decoder<crypto::SignedMessage>(11, 3000, 512); }
 TEST(FuzzCodecs, MerkleProof) { fuzz_decoder<crypto::MerkleProof>(12, 3000, 512); }
 TEST(FuzzCodecs, MssSignature) { fuzz_decoder<crypto::MssSignature>(13, 500, 20000); }
@@ -542,9 +542,14 @@ std::vector<util::Bytes> body_zoo() {
     }
     protocol::LoadBatch batch;
     batch.origin = "P1";
-    for (std::size_t i = 0; i < 4; ++i) batch.blocks.push_back(data.block(i));
+    batch.blocks = data.batch(std::vector<std::uint64_t>{0, 1, 2, 3});
     add(batch, batch.serialize());
     add(protocol::LoadBatch{}, protocol::LoadBatch{}.serialize());
+    // Mediated shape: a wrapping range with a repeat.
+    protocol::LoadBatch mediated;
+    mediated.origin = "P1";
+    mediated.blocks = data.batch(std::vector<std::uint64_t>{14, 15, 0, 14});
+    add(mediated, mediated.serialize());
 
     const auto first = crypto::sign_message(*signer, "P1",
                                             protocol::BidBody{1, "P1", 1.5}.serialize());
@@ -559,8 +564,13 @@ std::vector<util::Bytes> body_zoo() {
     complaint.complainant = "P2";
     complaint.expected_blocks = 5;
     complaint.received_blocks = 9;
-    complaint.held_blocks = {data.block(5), data.block(6)};
+    complaint.held_batches = {data.batch(std::vector<std::uint64_t>{5, 6}),
+                              data.batch(std::vector<std::uint64_t>{9})};
     add(complaint, complaint.serialize());
+    protocol::AllocComplaintBody short_claim;
+    short_claim.complainant = "P3";
+    short_claim.expected_blocks = 4;
+    add(short_claim, short_claim.serialize());
 
     protocol::BidVectorBody vector;
     vector.submitter = "P1";
@@ -724,18 +734,23 @@ TEST(FuzzFlatCodec, SignedFieldTransplantsNeverVerify) {
 }
 
 TEST(FuzzCodecs, BlockMutationsFailIntegrity) {
+    // Any single-byte change to an authentic batch encoding either fails to
+    // parse or fails the batch integrity check: ids, payload digests and
+    // multiproof siblings are all bound by the root.
     protocol::DataSet data(3, 16);
-    const protocol::Block block = data.block(7);
-    const util::Bytes wire = block.serialize();
+    const protocol::BlockBatch batch = data.batch(std::vector<std::uint64_t>{5, 6, 7, 8});
+    const util::Bytes wire = batch.serialize();
+    ASSERT_TRUE(protocol::DataSet::verify_batch(data.root(), data.block_count(), batch));
     util::Xoshiro256 rng{5};
     for (int trial = 0; trial < 500; ++trial) {
         util::Bytes mutated = wire;
         const std::size_t pos =
             static_cast<std::size_t>(rng.uniform_int(0, mutated.size() - 1));
         mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.uniform_int(0, 254));
-        const auto parsed = protocol::Block::deserialize(mutated);
+        const auto parsed = protocol::BlockBatch::deserialize(mutated);
         if (parsed.has_value()) {
-            EXPECT_FALSE(protocol::DataSet::verify_block(data.root(), *parsed))
+            EXPECT_FALSE(
+                protocol::DataSet::verify_batch(data.root(), data.block_count(), *parsed))
                 << "mutation at " << pos;
         }
     }

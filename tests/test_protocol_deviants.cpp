@@ -3,10 +3,12 @@
 #include "agents/zoo.hpp"
 #include "protocol/detail/run_internals.hpp"
 #include "protocol/dispatch.hpp"
+#include "protocol/drivers/drivers.hpp"
 #include "protocol/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 namespace dlsbl::protocol {
@@ -188,6 +190,69 @@ TEST(Deviants, HonestProcessorsNeverFined) {
             EXPECT_FALSE(p.fined) << deviant.name << " framed " << p.name;
         }
     }
+}
+
+// P3 runs a real NodeCore but also relays every load delivery it receives
+// to `target`, as if the LO had shipped the target a second batch.
+class RelayingPeer final : public Endpoint {
+ public:
+    RelayingPeer(RunContext& context, NodeCore& core, std::string target)
+        : Endpoint(core.name()), ctx_(context), core_(core), target_(std::move(target)) {}
+
+    void on_start() override { core_.on_start(); }
+    void on_message(const WireMessage& message) override {
+        core_.on_message(message);
+        if (message.type == to_wire(MsgType::kLoadDelivery)) {
+            ctx_.transport().unicast(name(), target_, message.type, message.payload);
+        }
+    }
+
+ private:
+    RunContext& ctx_;
+    NodeCore& core_;
+    std::string target_;
+};
+
+TEST(Deviants, RelayedDeliveryCannotFrameHonestReceiver) {
+    // Lemma 5.2: a peer that is not the LO relays its authentic batch to P2.
+    // Counted as load, it would push P2 past its assignment into an
+    // over-shipment complaint the bus witness refutes, fining P2. Wired
+    // like run_protocol, with P3's core behind the relay.
+    const ProtocolConfig config = base_config();
+    std::unique_ptr<Driver> driver = make_sim_driver(
+        config.z, config.control_latency, config.control_seconds_per_byte, config.churn_plan);
+    RunContext context(driver->clock(), driver->transport(), config);
+    std::vector<std::unique_ptr<crypto::Signer>> signers;
+    for (std::size_t i = 0; i < context.processor_count(); ++i) {
+        signers.push_back(crypto::make_registered_signer(
+            context.pki(), context.processor_names()[i], config.seed * 1000 + i,
+            config.signature_algorithm, config.mss_height, config.crypto_keygen_jobs));
+    }
+    RefereeCore referee(context);
+    driver->attach(referee);
+    context.set_referee(referee);
+    context.set_expected_workers(context.processor_count());
+    std::vector<std::unique_ptr<NodeCore>> nodes;
+    for (std::size_t i = 0; i < context.processor_count(); ++i) {
+        nodes.push_back(std::make_unique<NodeCore>(context, i, std::move(signers[i]),
+                                                   config.strategies[i]));
+    }
+    RelayingPeer relay(context, *nodes[2], "P2");
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (i == 2) {
+            driver->attach(relay);
+        } else {
+            driver->attach(*nodes[i]);
+        }
+    }
+    driver->start();
+    driver->run();
+
+    EXPECT_FALSE(context.terminated()) << context.termination_reason();
+    EXPECT_TRUE(referee.settled());
+    EXPECT_FALSE(referee.fines().contains("P2"));
+    EXPECT_TRUE(referee.fines().empty());
+    EXPECT_EQ(nodes[1]->blocks_received(), nodes[1]->blocks_assigned());
 }
 
 TEST(Deviants, NoRewardsWithoutACheater) {

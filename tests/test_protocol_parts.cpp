@@ -2,6 +2,9 @@
 // the meter bank, and the wire-message codecs.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "crypto/sha256.hpp"
 #include "protocol/blocks.hpp"
 #include "protocol/ledger.hpp"
 #include "protocol/messages.hpp"
@@ -40,11 +43,111 @@ TEST(Blocks, DifferentJobsDifferentRoots) {
 
 TEST(Blocks, BlockSerializationRoundTrip) {
     DataSet data(7, 9);
-    const Block block = data.block(5);
-    const auto parsed = Block::deserialize(block.serialize());
+    const std::vector<std::uint64_t> ids{5, 6, 7};
+    const BlockBatch batch = data.batch(ids);
+    const auto parsed = BlockBatch::deserialize(batch.serialize());
     ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->id, 5u);
-    EXPECT_TRUE(DataSet::verify_block(data.root(), *parsed));
+    ASSERT_EQ(parsed->entries.size(), 3u);
+    EXPECT_EQ(parsed->entries[0].id, 5u);
+    EXPECT_EQ(parsed->proof, batch.proof);
+    EXPECT_TRUE(DataSet::verify_batch(data.root(), data.block_count(), *parsed));
+}
+
+// ---- block batches ----------------------------------------------------------
+
+// The scalar reference commitment: one SHA-256 per payload and per leaf,
+// a padded power-of-two tree folded with hash_pair.
+crypto::Digest scalar_root(std::uint64_t job_id, std::size_t block_count) {
+    std::vector<crypto::Digest> level;
+    for (std::uint64_t id = 0; id < block_count; ++id) {
+        util::ByteWriter payload;
+        payload.str("job-data");
+        payload.u64(job_id);
+        payload.u64(id);
+        const crypto::Digest digest = crypto::Sha256::hash(payload.data());
+        util::ByteWriter leaf;
+        leaf.str("block-leaf");
+        leaf.u64(id);
+        leaf.raw(digest);
+        level.push_back(crypto::Sha256::hash(leaf.data()));
+    }
+    std::size_t padded = 1;
+    while (padded < level.size()) padded *= 2;
+    level.resize(padded, level.back());
+    while (level.size() > 1) {
+        std::vector<crypto::Digest> up;
+        for (std::size_t i = 0; i < level.size(); i += 2) {
+            up.push_back(crypto::Sha256::hash_pair(level[i], level[i + 1]));
+        }
+        level = std::move(up);
+    }
+    return level.front();
+}
+
+TEST(BlockBatches, BatchedRootsMatchScalarRebuild) {
+    for (const std::size_t count : {1u, 2u, 3u, 255u, 256u, 257u, 65536u}) {
+        for (const std::uint64_t job : {1u, 1000u}) {
+            EXPECT_EQ(DataSet(job, count).root(), scalar_root(job, count))
+                << "B=" << count << " job=" << job;
+        }
+    }
+}
+
+TEST(BlockBatches, BatchEntriesMatchSingleBlocks) {
+    DataSet data(42, 100);
+    const std::vector<std::uint64_t> ids{97, 98, 99, 0, 1};  // a wrapping range
+    const BlockBatch batch = data.batch(ids);
+    ASSERT_EQ(batch.entries.size(), ids.size());
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(batch.entries[k].id, ids[k]);
+        EXPECT_EQ(batch.entries[k].payload_digest, data.block(ids[k]).payload_digest);
+    }
+    EXPECT_TRUE(DataSet::verify_batch(data.root(), data.block_count(), batch));
+}
+
+TEST(BlockBatches, RepeatedIdsWithEqualDigestsAccepted) {
+    DataSet data(42, 64);
+    const std::vector<std::uint64_t> ids{3, 4, 3, 5, 4, 3};
+    const BlockBatch batch = data.batch(ids);
+    EXPECT_EQ(batch.entries.size(), 6u);
+    EXPECT_TRUE(DataSet::verify_batch(data.root(), data.block_count(), batch));
+}
+
+TEST(BlockBatches, RepeatedIdsWithDifferentDigestsRejected) {
+    DataSet data(42, 64);
+    const std::vector<std::uint64_t> ids{3, 4, 3};
+    for (const std::size_t k : {0u, 2u}) {
+        BlockBatch batch = data.batch(ids);
+        batch.entries[k].payload_digest[0] ^= 0x01;
+        EXPECT_FALSE(DataSet::verify_batch(data.root(), data.block_count(), batch)) << k;
+    }
+}
+
+TEST(BlockBatches, EmptyBatchAcceptedOnlyWithEmptyProof) {
+    DataSet data(42, 64);
+    BlockBatch empty;
+    EXPECT_TRUE(DataSet::verify_batch(data.root(), data.block_count(), empty));
+    EXPECT_TRUE(data.batch({}).proof.empty());
+    empty.proof.push_back(data.root());
+    EXPECT_FALSE(DataSet::verify_batch(data.root(), data.block_count(), empty));
+}
+
+TEST(BlockBatches, TamperedOrForeignBatchesRejected) {
+    DataSet data(42, 64);
+    const std::vector<std::uint64_t> ids{10, 11, 12, 13, 14};
+    const BlockBatch honest = data.batch(ids);
+    BlockBatch tampered = honest;
+    tampered.entries[2].payload_digest[31] ^= 0x80;
+    EXPECT_FALSE(DataSet::verify_batch(data.root(), data.block_count(), tampered));
+    BlockBatch renumbered = honest;
+    renumbered.entries[0].id = 9;
+    EXPECT_FALSE(DataSet::verify_batch(data.root(), data.block_count(), renumbered));
+    BlockBatch out_of_range = honest;
+    out_of_range.entries[4].id = 64;
+    EXPECT_FALSE(DataSet::verify_batch(data.root(), data.block_count(), out_of_range));
+    EXPECT_FALSE(DataSet::verify_batch(DataSet(43, 64).root(), 64, honest));
+    EXPECT_FALSE(DataSet::verify_batch(data.root(), 65, honest));
+    EXPECT_THROW((void)data.batch(std::vector<std::uint64_t>{64}), std::out_of_range);
 }
 
 TEST(Blocks, OutOfRangeThrows) {
@@ -177,12 +280,15 @@ TEST(Messages, AllocComplaintRoundTrip) {
     body.complainant = "P4";
     body.expected_blocks = 2;
     body.received_blocks = 4;
-    body.held_blocks = {data.block(0), data.block(1)};
+    body.held_batches = {data.batch(std::vector<std::uint64_t>{0}),
+                         data.batch(std::vector<std::uint64_t>{1, 2})};
     const auto parsed = AllocComplaintBody::deserialize(body.serialize());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->kind, AllocComplaintKind::kOverShipped);
-    EXPECT_EQ(parsed->held_blocks.size(), 2u);
-    EXPECT_TRUE(DataSet::verify_block(data.root(), parsed->held_blocks[1]));
+    ASSERT_EQ(parsed->held_batches.size(), 2u);
+    EXPECT_EQ(parsed->held_batches[1].entries.size(), 2u);
+    EXPECT_TRUE(DataSet::verify_batch(data.root(), data.block_count(),
+                                      parsed->held_batches[1]));
 }
 
 TEST(Messages, AllocComplaintRejectsBadKind) {

@@ -64,10 +64,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L property
 step "codec fuzz (flat wire smoke)"
 # The full ctest above already ran the whole fuzz suite; this named stage
 # re-runs the flat-codec slice (legacy/flat accept-set parity, encoder
-# byte-identity, mutation and transplant rejection) so a wire-format break
-# is legible in CI logs on its own line.
+# byte-identity, mutation and transplant rejection) and the Merkle
+# multiproof verifier (peer-controlled proof lengths and indices) so a
+# wire-format break is legible in CI logs on its own line.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '(FuzzFlatCodec|asan\..*FuzzFlatCodec)'
+    -R '(FuzzFlatCodec|asan\..*FuzzFlatCodec|MerkleMultiproof|asan\..*MerkleMultiproof)'
 
 step "bench-regress (perf gate)"
 # The full ctest above already ran the bench-smoke suites (writing fresh
