@@ -22,6 +22,16 @@
 
 namespace dlsbl::dlt {
 
+// The ratio k_i with α_{i+1} = k_i α_i (0-based i = 0..m-2) in an m-processor
+// system: w_i / (z + w_{i+1}) by recurrences (7)/(8), except the last NCP-NFE
+// step, α_m w_m = α_{m-1} w_{m-1} (9).
+template <typename Scalar>
+Scalar chain_ratio(NetworkKind kind, std::size_t m, std::size_t i, const Scalar& w_i,
+                   const Scalar& w_next, const Scalar& z) {
+    if (kind == NetworkKind::kNcpNFE && i + 2 == m) return w_i / w_next;
+    return w_i / (z + w_next);
+}
+
 // Generic closed form over any field-like scalar (double, util::Rational).
 // Preconditions: w.size() >= 1, all w_i > 0, z >= 0.
 template <typename Scalar>
@@ -32,19 +42,8 @@ std::vector<Scalar> optimal_allocation_generic(NetworkKind kind, std::span<const
 
     // Unnormalized multipliers c_i with c_1 = 1 and α_i = c_i / Σ c_j.
     std::vector<Scalar> c(m, Scalar{1});
-    if (kind == NetworkKind::kNcpNFE) {
-        for (std::size_t i = 0; i + 2 < m; ++i) {
-            // k_i = w_i / (z + w_{i+1}), recurrence (8)
-            c[i + 1] = c[i] * (w[i] / (z + w[i + 1]));
-        }
-        if (m >= 2) {
-            // α_m w_m = α_{m-1} w_{m-1}, recurrence (9)
-            c[m - 1] = c[m - 2] * (w[m - 2] / w[m - 1]);
-        }
-    } else {
-        for (std::size_t i = 0; i + 1 < m; ++i) {
-            c[i + 1] = c[i] * (w[i] / (z + w[i + 1]));  // recurrence (7)
-        }
+    for (std::size_t i = 0; i + 1 < m; ++i) {
+        c[i + 1] = c[i] * chain_ratio(kind, m, i, w[i], w[i + 1], z);
     }
 
     Scalar total{0};

@@ -26,6 +26,35 @@
 
 namespace dlsbl::dlt {
 
+// Eqs (1)-(3) walked in processor order: the one definition of the bus
+// term that finishing_times_generic, the DLS-BL bonus rows and
+// leave_one_out_makespan all use, so their finishing times agree bit for
+// bit. alpha_at(i) is called once per i, in increasing order (it may
+// generate α_i on the fly); then visit(i, α_i, bus_i) gets P_i's bus term,
+// and T_i = bus_i + α_i w_i for every processor. bus_i is the time the bus
+// spends before P_i's data is delivered, z Σ α_j over the transfers up to
+// and including P_i's; the load origin's own share never crosses the bus.
+template <typename Scalar, typename AlphaAt, typename Visit>
+void walk_bus(NetworkKind kind, std::size_t m, const Scalar& z, AlphaAt&& alpha_at,
+              Visit&& visit) {
+    Scalar comm{0};
+    std::size_t i = 0;
+    if (kind == NetworkKind::kNcpFE && m > 0) {
+        // The LO P_1 computes from t = 0 on its front end. -0 is the exact
+        // additive identity, so bus_1 + α_1 w_1 is α_1 w_1 bit for bit.
+        visit(i, alpha_at(i), -Scalar{0});
+        i = 1;
+    }
+    // NCP-NFE: the LO P_m has no front end and computes after every transfer.
+    const std::size_t on_bus = kind == NetworkKind::kNcpNFE && m > 0 ? m - 1 : m;
+    for (; i < on_bus; ++i) {
+        const Scalar alpha_i = alpha_at(i);
+        comm = comm + z * alpha_i;
+        visit(i, alpha_i, comm);
+    }
+    if (i < m) visit(i, alpha_at(i), comm);
+}
+
 // All T_i for an arbitrary (not necessarily optimal) allocation.
 template <typename Scalar>
 std::vector<Scalar> finishing_times_generic(NetworkKind kind, std::span<const Scalar> alpha,
@@ -34,30 +63,11 @@ std::vector<Scalar> finishing_times_generic(NetworkKind kind, std::span<const Sc
     if (alpha.size() != m) throw std::invalid_argument("finishing_times: size mismatch");
     if (m == 0) throw std::invalid_argument("finishing_times: empty system");
     std::vector<Scalar> t(m);
-    Scalar comm{0};  // prefix of bus time consumed before P_i's data is delivered
-    switch (kind) {
-        case NetworkKind::kCP:
-            for (std::size_t i = 0; i < m; ++i) {
-                comm = comm + z * alpha[i];
-                t[i] = comm + alpha[i] * w[i];
-            }
-            break;
-        case NetworkKind::kNcpFE:
-            t[0] = alpha[0] * w[0];
-            for (std::size_t i = 1; i < m; ++i) {
-                comm = comm + z * alpha[i];
-                t[i] = comm + alpha[i] * w[i];
-            }
-            break;
-        case NetworkKind::kNcpNFE:
-            for (std::size_t i = 0; i + 1 < m; ++i) {
-                comm = comm + z * alpha[i];
-                t[i] = comm + alpha[i] * w[i];
-            }
-            // LO has no front end: it computes only after all transfers.
-            t[m - 1] = comm + alpha[m - 1] * w[m - 1];
-            break;
-    }
+    walk_bus(
+        kind, m, z, [&](std::size_t i) -> const Scalar& { return alpha[i]; },
+        [&](std::size_t i, const Scalar& alpha_i, const Scalar& bus) {
+            t[i] = bus + alpha_i * w[i];
+        });
     return t;
 }
 

@@ -27,13 +27,13 @@ std::size_t load_origin_index(NetworkKind kind, std::size_t processor_count) {
 
 void ProblemInstance::validate() const {
     if (w.empty()) throw std::invalid_argument("ProblemInstance: need at least one processor");
+    validate_bus_time(z);
+    for (const double wi : w) validate_rate(wi);
+}
+
+void validate_bus_time(double z) {
     if (!(z >= 0.0) || !std::isfinite(z)) {
         throw std::invalid_argument("ProblemInstance: z must be finite and >= 0");
-    }
-    for (double wi : w) {
-        if (!(wi > 0.0) || !std::isfinite(wi)) {
-            throw std::invalid_argument("ProblemInstance: all w_i must be finite and > 0");
-        }
     }
 }
 

@@ -6,6 +6,7 @@
 // Σ α_i = 1 (eqs 5-6).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -38,6 +39,16 @@ struct ProblemInstance {
     // Throws std::invalid_argument unless m >= 1, z >= 0, and all w_i > 0.
     void validate() const;
 };
+
+// The checks ProblemInstance::validate() makes on z and on each w_i, for
+// code that walks a w vector itself (leave_one_out_makespan checks the
+// rates as it reads them).
+void validate_bus_time(double z);
+inline void validate_rate(double w_i) {
+    if (!(w_i > 0.0) || !std::isfinite(w_i)) {
+        throw std::invalid_argument("ProblemInstance: all w_i must be finite and > 0");
+    }
+}
 
 using LoadAllocation = std::vector<double>;
 

@@ -1,5 +1,6 @@
 #include "mech/dls_bl.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -15,8 +16,24 @@ DlsBl::DlsBl(dlt::NetworkKind kind, double z, std::vector<double> bids) {
     instance_.w = std::move(bids);
     instance_.validate();
     alpha_ = dlt::optimal_allocation(instance_);
-    exclusion_cache_.assign(instance_.processor_count(),
-                            std::numeric_limits<double>::quiet_NaN());
+    const std::size_t m = instance_.processor_count();
+    bus_.resize(m);
+    prefix_max_.resize(m);
+    suffix_max_.resize(m);
+    dlt::walk_bus(
+        instance_.kind, m, instance_.z, [&](std::size_t k) { return alpha_[k]; },
+        [&](std::size_t k, double alpha, double bus) {
+            bus_[k] = bus;
+            suffix_max_[k] = bus + alpha * instance_.w[k];
+        });
+    prefix_max_[0] = suffix_max_[0];
+    for (std::size_t k = 1; k < m; ++k) {
+        prefix_max_[k] = std::max(prefix_max_[k - 1], suffix_max_[k]);
+    }
+    for (std::size_t k = m - 1; k-- > 0;) {
+        suffix_max_[k] = std::max(suffix_max_[k], suffix_max_[k + 1]);
+    }
+    exclusion_cache_.assign(m, std::numeric_limits<double>::quiet_NaN());
 }
 
 double DlsBl::bid_makespan() const { return dlt::makespan(instance_, alpha_); }
@@ -38,14 +55,15 @@ double DlsBl::exclusion_makespan(std::size_t i) const {
 }
 
 double DlsBl::bonus_of(std::size_t i, double exec_value) const {
+    const double exclusion = exclusion_makespan(i);
     // T(α(b), (b_-i, w̃_i)): the bid-derived allocation evaluated with P_i
-    // at its observed speed and everyone else at their bid.
-    std::vector<double> mixed = instance_.w;
-    mixed[i] = exec_value;
-    const double realized = dlt::makespan_generic<double>(
-        instance_.kind, std::span<const double>(alpha_), std::span<const double>(mixed),
-        instance_.z);
-    return exclusion_makespan(i) - realized;
+    // at its observed speed and everyone else at their bid. Only T_i moves,
+    // so this is makespan_generic's max fold (seeded with T_0) over the
+    // cached maxima on either side of i; max is exact, so no bit changes.
+    const double own = bus_[i] + alpha_[i] * exec_value;
+    double realized = std::max(i == 0 ? own : prefix_max_[i - 1], own);
+    if (i + 1 < suffix_max_.size()) realized = std::max(realized, suffix_max_[i + 1]);
+    return exclusion - realized;
 }
 
 double DlsBl::utility_of(std::size_t i, double exec_value) const {

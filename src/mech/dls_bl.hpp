@@ -58,7 +58,9 @@ class DlsBl {
     // as the bid vector).
     [[nodiscard]] PaymentBreakdown payments(std::span<const double> exec_values) const;
 
-    // Single-agent views (used by property checkers and benches).
+    // Single-agent views (used by property checkers and benches). bonus_of
+    // costs O(1) once exclusion_makespan(i) is cached, and equals the bonus
+    // re-evaluated over the full mixed vector bit for bit.
     [[nodiscard]] double bonus_of(std::size_t i, double exec_value) const;
     [[nodiscard]] double utility_of(std::size_t i, double exec_value) const;
 
@@ -68,6 +70,12 @@ class DlsBl {
  private:
     dlt::ProblemInstance instance_;    // kind, z, w = bids
     dlt::LoadAllocation alpha_;
+    // The bid-rate finishing times T_k(α(b), b), split so a bonus row swaps
+    // one of them in O(1): each one's bus term, and their running maxima
+    // from the front (T_0..T_k) and from the back (T_k..T_{m-1}).
+    std::vector<double> bus_;
+    std::vector<double> prefix_max_;
+    std::vector<double> suffix_max_;
     mutable std::vector<double> exclusion_cache_;  // lazily computed, NaN = missing
 };
 

@@ -111,10 +111,20 @@ RunContext::RunContext(Clock& clock, Transport& transport, ProtocolConfig config
     }
 }
 
-std::size_t RunContext::index_of(const std::string& name) const {
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-        if (names_[i] == name) return i;
+std::optional<std::size_t> RunContext::find_index(std::string_view name) const noexcept {
+    // names_[i] is "P" followed by i + 1 in decimal, with no leading zero.
+    if (name.size() < 2 || name[0] != 'P' || name[1] == '0') return std::nullopt;
+    std::size_t number = 0;
+    for (const char digit : name.substr(1)) {
+        if (digit < '0' || digit > '9') return std::nullopt;
+        number = number * 10 + static_cast<std::size_t>(digit - '0');
+        if (number > names_.size()) return std::nullopt;
     }
+    return number - 1;
+}
+
+std::size_t RunContext::index_of(const std::string& name) const {
+    if (const auto index = find_index(name)) return *index;
     throw std::out_of_range("RunContext: unknown processor " + name);
 }
 

@@ -22,7 +22,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/pki.hpp"
@@ -60,6 +62,11 @@ class RunContext {
     [[nodiscard]] const std::string& referee_name() const noexcept { return referee_name_; }
     [[nodiscard]] const std::string& load_origin() const noexcept { return lo_name_; }
     [[nodiscard]] std::uint64_t job_id() const noexcept { return job_id_; }
+    // Dense processor id of `name` in O(1): "P1" -> 0, ..., "Pm" -> m-1, and
+    // nullopt for the referee, the user or any other name. The cores key
+    // their per-processor tables on it.
+    [[nodiscard]] std::optional<std::size_t> find_index(std::string_view name) const noexcept;
+    // find_index for a name that must be a processor (throws otherwise).
     [[nodiscard]] std::size_t index_of(const std::string& name) const;
 
     // --- subsystems ---------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include "dlt/closed_form.hpp"
 #include "mech/dls_bl.hpp"
+#include "obs/profiler.hpp"
 #include "protocol/wire.hpp"
 #include "util/logging.hpp"
 
@@ -23,7 +24,11 @@ NodeCore::NodeCore(RunContext& context, std::size_t index,
       true_w_(context.config().true_w[index]),
       strategy_(std::move(strategy)),
       signer_(std::move(signer)),
-      pending_bids_(context.config().verify_batch) {
+      first_bids_(context.processor_count()),
+      bid_values_(context.processor_count(), 0.0),
+      excluded_(context.processor_count(), 0),
+      active_count_(context.processor_count()),
+      pending_bids_(context.config().verify_batch, context.processor_count()) {
     bid_ = strategy_.bid_factor * true_w_;
     // Physical constraint enforced again by the context at execution time.
     exec_rate_ = std::max(true_w_, strategy_.exec_factor * true_w_);
@@ -93,9 +98,8 @@ void NodeCore::broadcast_bid(double value) {
     auto envelope = wire::flat_encode(signed_msg);
     if (bid_payload_.empty()) bid_payload_ = envelope;
     // The node records its own (first) bid the same way it records peers'.
-    if (!first_bids_.contains(name())) {
-        first_bids_.emplace(name(), signed_msg);
-        bid_values_[name()] = value;
+    if (!first_bids_[index_]) {
+        record_bid(index_, signed_msg, value);
         maybe_finish_bidding();
     }
     // Causal anchor: the broadcast's bus records carry this span, so every
@@ -112,9 +116,12 @@ void NodeCore::on_message(const WireMessage& message) {
 }
 
 void NodeCore::handle_bid(const WireMessage& message) {
+    OBS_SCOPE("bid_intake");
     const auto view = wire::SignedMessageView::parse(message.payload);
     if (!view) return;  // malformed: discarded (§4 Bidding)
     if (view->signer != message.from) return;
+    const auto sender = ctx_.find_index(message.from);
+    if (!sender) return;  // only processors bid
 
     // Deferred intake: park the envelope unverified and flush at the first
     // point an observable could depend on a verdict — a possible conflict
@@ -122,59 +129,48 @@ void NodeCore::handle_bid(const WireMessage& message) {
     // change), or the batch limit. The false-accuse deviation emits on its
     // very first recorded bid, so that strategy stays eager.
     if (ctx_.config().verify_batch > 1 && !strategy_.false_accuse) {
+        const auto& existing = first_bids_[*sender];
         const bool conflict =
-            pending_bids_.conflicts(message.from, view->payload) ||
-            [&] {
-                const auto existing = first_bids_.find(message.from);
-                return existing != first_bids_.end() &&
-                       !(existing->second.payload.size() == view->payload.size() &&
-                         std::equal(existing->second.payload.begin(),
-                                    existing->second.payload.end(),
-                                    view->payload.begin()));
-            }();
-        pending_bids_.push(message.from, view->to_owned());
+            pending_bids_.conflicts(*sender, view->payload) ||
+            (existing && !(existing->payload.size() == view->payload.size() &&
+                           std::equal(existing->payload.begin(), existing->payload.end(),
+                                      view->payload.begin())));
+        if (pending_bids_.push(*sender, view->to_owned()) && !existing &&
+            excluded_[*sender] == 0) {
+            ++active_queued_;
+        }
         if (pending_bids_.full() || conflict || bid_set_possibly_complete()) {
             flush_pending_bids();
         }
         return;
     }
-    apply_bid(message.from, view->to_owned(), view->verify(ctx_.pki()));
-}
-
-bool NodeCore::bid_set_possibly_complete() const {
-    if (bidding_finished_) return true;  // late bids: nothing left to defer for
-    for (const auto& pname : ctx_.processor_names()) {
-        if (excluded_.contains(pname)) continue;
-        if (!bid_values_.contains(pname) && !pending_bids_.has_sender(pname)) {
-            return false;
-        }
-    }
-    return true;
+    apply_bid(*sender, view->to_owned(), view->verify(ctx_.pki()));
 }
 
 void NodeCore::flush_pending_bids() {
-    pending_bids_.flush(ctx_.pki(),
-                        [this](const std::string& from,
-                               const crypto::SignedMessage& envelope, bool verified) {
-                            apply_bid(from, envelope, verified);
-                        });
+    active_queued_ = 0;  // the whole queue is replayed below
+    pending_bids_.flush(ctx_.pki(), [this](std::size_t sender,
+                                           const crypto::SignedMessage& envelope,
+                                           bool verified) {
+        apply_bid(sender, envelope, verified);
+    });
 }
 
-void NodeCore::apply_bid(const std::string& from, const crypto::SignedMessage& envelope,
+void NodeCore::apply_bid(std::size_t sender, const crypto::SignedMessage& envelope,
                          bool verified) {
     if (!verified) return;  // fails verification: discarded
+    const std::string& from = ctx_.processor_names()[sender];
     const auto body = wire::BidView::parse(envelope.payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
 
-    const auto existing = first_bids_.find(from);
-    if (existing != first_bids_.end()) {
-        if (existing->second.payload == envelope.payload) return;  // duplicate copy
+    if (const auto& existing = first_bids_[sender]) {
+        if (existing->payload == envelope.payload) return;  // duplicate copy
         // Offense (i): two authenticated, different bids from one sender.
         if (strategy_.report_deviations && !accused_double_bid_) {
             accused_double_bid_ = true;
             DoubleBidEvidence evidence;
             evidence.accused = from;
-            evidence.first = existing->second;
+            evidence.first = *existing;
             evidence.second = envelope;
             ctx_.transport().unicast(name(), ctx_.referee_name(),
                                      to_wire(MsgType::kAccuseDoubleBid),
@@ -182,10 +178,16 @@ void NodeCore::apply_bid(const std::string& from, const crypto::SignedMessage& e
         }
         return;
     }
-    first_bids_.emplace(from, envelope);
-    bid_values_[from] = body->bid;
+    record_bid(sender, envelope, body->bid);
     maybe_false_accuse(envelope);
     maybe_finish_bidding();
+}
+
+void NodeCore::record_bid(std::size_t sender, const crypto::SignedMessage& envelope,
+                          double value) {
+    first_bids_[sender] = envelope;
+    bid_values_[sender] = value;
+    if (excluded_[sender] == 0) ++active_recorded_;
 }
 
 void NodeCore::maybe_false_accuse(const crypto::SignedMessage& genuine) {
@@ -211,25 +213,24 @@ void NodeCore::maybe_false_accuse(const crypto::SignedMessage& genuine) {
 }
 
 void NodeCore::maybe_finish_bidding() {
-    if (bidding_finished_) return;
     // Under churn the referee may have excluded dead bidders (kExclude); the
     // round then closes over the survivors. Outside churn (or before any
     // exclusion) this is the original all-m gate.
-    std::vector<std::string> active;
-    for (const auto& pname : ctx_.processor_names()) {
-        if (!excluded_.contains(pname)) active.push_back(pname);
-    }
-    for (const auto& pname : active) {
-        if (!bid_values_.contains(pname)) return;
-    }
-    if (!exclude_received_ && bid_values_.size() != ctx_.processor_count()) return;
+    if (bidding_finished_ || active_recorded_ != active_count_) return;
     bidding_finished_ = true;
 
     // Everyone computes the allocation locally (Algorithm 2.1 or 2.2), over
     // the active set, scattered back to full-size vectors (zeros for the
     // excluded) so downstream indexing stays uniform.
-    std::vector<double> bids(active.size());
-    for (std::size_t j = 0; j < active.size(); ++j) bids[j] = bid_values_.at(active[j]);
+    std::vector<std::size_t> active;
+    std::vector<double> bids;
+    active.reserve(active_count_);
+    bids.reserve(active_count_);
+    for (std::size_t j = 0; j < ctx_.processor_count(); ++j) {
+        if (excluded_[j] != 0) continue;
+        active.push_back(j);
+        bids.push_back(bid_values_[j]);
+    }
     dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, bids};
     const auto sub_alpha = dlt::optimal_allocation(instance);
     const auto sub_counts =
@@ -237,9 +238,8 @@ void NodeCore::maybe_finish_bidding() {
     alpha_.assign(ctx_.processor_count(), 0.0);
     block_counts_.assign(ctx_.processor_count(), 0);
     for (std::size_t j = 0; j < active.size(); ++j) {
-        const std::size_t i = ctx_.index_of(active[j]);
-        alpha_[i] = sub_alpha[j];
-        block_counts_[i] = sub_counts[j];
+        alpha_[active[j]] = sub_alpha[j];
+        block_counts_[active[j]] = sub_counts[j];
     }
     blocks_assigned_ = block_counts_[index_];
 
@@ -422,45 +422,48 @@ void NodeCore::handle_meter_broadcast(const WireMessage& message) {
     flush_pending_bids();  // the payment computation reads bid_values_
     const auto view = wire::MeterVectorView::parse(message.payload);
     if (!view || message.from != ctx_.referee_name()) return;
+    // Only a node that followed the round this far has an allocation and a
+    // complete bid table to pay against; an early vector is dropped.
+    if (!bidding_finished_) return;
 
     if (ctx_.churn_enabled()) {
         // At most one submission (the referee retransmits for peers whose
-        // first copy fell into a loss window), and only from a node that
-        // actually followed the round to this point.
-        if (payment_submitted_ || excluded_self_ || !bidding_finished_) return;
+        // first copy fell into a loss window), and not from an excluded node.
+        if (payment_submitted_ || excluded_self_) return;
         payment_submitted_ = true;
+        OBS_SCOPE("payments");
         payment_vector_ = churn_payment_vector(*view);
     } else {
+        OBS_SCOPE("payments");
         // w̃_j = φ_j / α_j (§4 Computing Payments) — with block-granular
         // loads, α_j is the fraction actually assigned, blocks_j /
         // block_count.
         const std::size_t m = ctx_.processor_count();
-        std::vector<double> exec(m);
-        std::map<std::string, double, std::less<>> phi;
+        std::vector<double> phi(m);
+        std::vector<std::uint8_t> metered(m, 0);
         wire::Cursor phis = view->phis;
         for (std::uint64_t k = 0; k < view->phi_count; ++k) {
-            const std::string_view processor = phis.str();
-            phi[std::string(processor)] = phis.f64();
+            const auto j = ctx_.find_index(phis.str());
+            const double value = phis.f64();
+            if (j) {
+                phi[*j] = value;
+                metered[*j] = 1;
+            }
         }
+        std::vector<double> exec(m);
         for (std::size_t j = 0; j < m; ++j) {
-            const auto& pname = ctx_.processor_names()[j];
             const double fraction = static_cast<double>(block_counts_[j]) /
                                     static_cast<double>(ctx_.config().block_count);
-            if (fraction > 0.0 && phi.contains(pname)) {
-                exec[j] = phi[pname] / fraction;
+            if (fraction > 0.0 && metered[j] != 0) {
+                exec[j] = phi[j] / fraction;
             } else {
                 // Zero-block degenerate share: fall back to the bid.
-                exec[j] = bid_values_.at(pname);
+                exec[j] = bid_values_[j];
             }
         }
 
-        std::vector<double> bids(m);
-        for (std::size_t j = 0; j < m; ++j) {
-            bids[j] = bid_values_.at(ctx_.processor_names()[j]);
-        }
-        const mech::DlsBl mechanism(ctx_.config().kind, ctx_.config().z, bids);
-        const auto breakdown = mechanism.payments(std::span<const double>(exec));
-        payment_vector_ = breakdown.payment;
+        const mech::DlsBl mechanism(ctx_.config().kind, ctx_.config().z, bid_values_);
+        payment_vector_ = mechanism.payments(std::span<const double>(exec)).payment;
     }
 
     auto submit = [&](std::vector<double> q) {
@@ -501,11 +504,10 @@ void NodeCore::handle_bid_vector_request() {
     flush_pending_bids();  // the response must reflect every arrived bid
     BidVectorBody body;
     body.submitter = name();
-    for (const auto& pname : ctx_.processor_names()) {
-        auto it = first_bids_.find(pname);
-        if (it == first_bids_.end()) continue;
-        crypto::SignedMessage entry = it->second;
-        if (strategy_.tamper_bid_vector && pname == name()) {
+    for (std::size_t j = 0; j < first_bids_.size(); ++j) {
+        if (!first_bids_[j]) continue;
+        crypto::SignedMessage entry = *first_bids_[j];
+        if (strategy_.tamper_bid_vector && j == index_) {
             // Offense (iv): alter own bid and re-sign — a *valid* signature
             // over a value inconsistent with what everyone else holds,
             // which the referee exposes as double-signing.
@@ -549,12 +551,21 @@ void NodeCore::handle_exclude(const WireMessage& message) {
     flush_pending_bids();  // exclusion shrinks the active set the queue gates on
     const auto body = wire::ExcludeView::parse(message.payload);
     if (!body || body->job_id != ctx_.job_id()) return;
-    exclude_received_ = true;
     wire::Cursor excluded_names = body->excluded;
     for (std::uint64_t k = 0; k < body->excluded_count; ++k) {
-        excluded_.emplace(excluded_names.str());
+        const auto j = ctx_.find_index(excluded_names.str());
+        if (!j || excluded_[*j] != 0) continue;
+        // j leaves the active set, and with it any bid it had recorded or
+        // queued.
+        excluded_[*j] = 1;
+        --active_count_;
+        if (first_bids_[*j]) {
+            --active_recorded_;
+        } else if (pending_bids_.has_sender(*j)) {
+            --active_queued_;
+        }
     }
-    if (excluded_.contains(name())) {
+    if (excluded_[index_] != 0) {
         // We restarted after missing the bid deadline: the round went on
         // without us. Halt — no meter, no payment vector.
         excluded_self_ = true;
@@ -628,11 +639,14 @@ std::vector<double> NodeCore::churn_payment_vector(const wire::MeterVectorView& 
     inputs.z = ctx_.config().z;
     inputs.block_count = ctx_.config().block_count;
     inputs.names = ctx_.processor_names();
-    inputs.excluded = excluded_;
-    for (const auto& pname : ctx_.processor_names()) {
-        if (excluded_.contains(pname)) continue;
-        inputs.bids[pname] = bid_values_.at(pname);
-        std::size_t final_count = block_counts_[ctx_.index_of(pname)];
+    for (std::size_t j = 0; j < ctx_.processor_count(); ++j) {
+        const auto& pname = ctx_.processor_names()[j];
+        if (excluded_[j] != 0) {
+            inputs.excluded.insert(pname);
+            continue;
+        }
+        inputs.bids[pname] = bid_values_[j];
+        std::size_t final_count = block_counts_[j];
         if (pname == realloc_dead_) {
             final_count = static_cast<std::size_t>(realloc_dead_final_);
         }

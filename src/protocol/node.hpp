@@ -12,10 +12,9 @@
 // no transport types appear here, so any driver can host it.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,12 +59,16 @@ class NodeCore final : public Endpoint {
     // Post-verification bid intake (record / dedup / accuse / finish) —
     // runs eagerly per arrival, or replayed in arrival order by a queue
     // flush; the two schedules are byte-identical (see verify_queue.hpp).
-    void apply_bid(const std::string& from, const crypto::SignedMessage& envelope,
+    void apply_bid(std::size_t sender, const crypto::SignedMessage& envelope,
                    bool verified);
+    void record_bid(std::size_t sender, const crypto::SignedMessage& envelope, double value);
     // Conservative structural test: could recording the pending envelopes
     // complete the active bid set? (Completion is the only verdict-
-    // dependent observable that isn't a conflict.)
-    [[nodiscard]] bool bid_set_possibly_complete() const;
+    // dependent observable that isn't a conflict.) O(1): every active
+    // processor is recorded or queued.
+    [[nodiscard]] bool bid_set_possibly_complete() const noexcept {
+        return bidding_finished_ || active_recorded_ + active_queued_ == active_count_;
+    }
     void flush_pending_bids();
     void maybe_finish_bidding();
     void ship_loads();
@@ -101,13 +104,22 @@ class NodeCore final : public Endpoint {
     double bid_ = 0.0;
     double exec_rate_ = 0.0;
 
-    // First valid signed bid per sender, in arrival order; a second,
-    // different valid bid from the same sender is offense (i) evidence.
-    std::map<std::string, crypto::SignedMessage> first_bids_;
+    // Bid tables indexed by processor id (RunContext::find_index). The
+    // first valid signed bid per sender, and its value; a second, different
+    // valid bid from the same sender is offense (i) evidence.
+    std::vector<std::optional<crypto::SignedMessage>> first_bids_;
+    std::vector<double> bid_values_;
+    // Referee's bid-deadline exclusions (churn mode), same ids.
+    std::vector<std::uint8_t> excluded_;
+    // The round closes when every active (non-excluded) processor's bid is
+    // recorded; these counters make that test, and the deferred-intake
+    // one above, O(1) per arrival.
+    std::size_t active_count_ = 0;     // processors not excluded
+    std::size_t active_recorded_ = 0;  // ... with a recorded bid
+    std::size_t active_queued_ = 0;    // ... with none recorded but one queued
     // Arrival-order intake queue for deferred bid verification
     // (config.verify_batch envelopes per Pki::verify_many flush).
     VerifyQueue pending_bids_;
-    std::map<std::string, double> bid_values_;
     bool accused_double_bid_ = false;
     bool false_accused_ = false;
     bool bidding_finished_ = false;
@@ -128,8 +140,6 @@ class NodeCore final : public Endpoint {
 
     // --- churn state (untouched outside churn mode) --------------------------
     util::Bytes bid_payload_;            // first signed bid, stored for stale replay
-    std::set<std::string> excluded_;     // referee's bid-deadline exclusions
-    bool exclude_received_ = false;
     bool excluded_self_ = false;
     std::size_t extra_pending_ = 0;      // reallocated blocks awaiting delivery
     std::size_t extra_received_ = 0;

@@ -6,6 +6,7 @@
 #include "dlt/closed_form.hpp"
 #include "mech/dls_bl.hpp"
 #include "obs/event.hpp"
+#include "obs/profiler.hpp"
 #include "util/logging.hpp"
 
 namespace dlsbl::protocol {
@@ -23,8 +24,9 @@ constexpr const char* kVerifyCacheMetric = "dlsbl_referee_verify_cache_total";
 RefereeCore::RefereeCore(RunContext& context)
     : Endpoint(context.referee_name()),
       ctx_(context),
-      pending_churn_bids_(context.config().verify_batch),
-      pending_payments_(context.config().verify_batch) {
+      pending_churn_bids_(context.config().verify_batch, context.processor_count()),
+      pending_payments_(context.config().verify_batch, context.processor_count()),
+      submitted_(context.processor_count(), 0) {
     register_handlers();
     if (ctx_.churn_enabled()) {
         ctx_.clock().call_at(ctx_.config().churn_plan.policy.bid_timeout,
@@ -421,44 +423,41 @@ void RefereeCore::handle_payment_vector(const WireMessage& message) {
     if (settled_ || verdict_issued_) return;
     const auto view = wire::SignedMessageView::parse(message.payload);
     if (!view || view->signer != message.from) return;
+    const auto sender = ctx_.find_index(message.from);
+    if (!sender) return;  // only processors submit payment vectors
 
     // Deferred intake: submissions accumulate unverified; the flush — at
     // the possible quorum, the batch limit, or any observable boundary —
     // replays arrival order, so discards and the evaluation schedule land
     // exactly where eager verification would put them.
     if (ctx_.config().verify_batch > 1) {
-        pending_payments_.push(message.from, view->to_owned());
+        if (pending_payments_.push(*sender, view->to_owned()) && submitted_[*sender] == 0) {
+            ++queued_unsubmitted_;
+        }
         if (pending_payments_.full() || payment_quorum_possible()) flush_deferred();
         return;
     }
     if (!view->verify(ctx_.pki())) {
         return;  // unauthenticated submissions are discarded
     }
-    apply_payment(message.from, view->to_owned(), true);
+    apply_payment(*sender, view->to_owned(), true);
 }
 
-bool RefereeCore::payment_quorum_possible() const {
+std::size_t RefereeCore::payment_quorum() const noexcept {
     // Under churn dead bidders never submit; the payment deadline settles
     // without them, but a full set of active submissions settles early.
-    const std::size_t quorum =
-        ctx_.churn_enabled() ? churn_active_count() : ctx_.processor_count();
-    std::size_t covered = 0;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (payment_payloads_.contains(processor) ||
-            pending_payments_.has_sender(processor)) {
-            ++covered;
-        }
-    }
-    return covered >= quorum;
+    return ctx_.churn_enabled() ? churn_active_count() : ctx_.processor_count();
 }
 
-void RefereeCore::apply_payment(const std::string& from,
-                                const crypto::SignedMessage& envelope, bool verified) {
+void RefereeCore::apply_payment(std::size_t sender, const crypto::SignedMessage& envelope,
+                                bool verified) {
     if (!verified) return;  // unauthenticated submissions are discarded
+    const std::string& from = ctx_.processor_names()[sender];
     const auto body = wire::PaymentView::parse(envelope.payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
     if (body->payment_count != ctx_.processor_count()) return;
 
+    submitted_[sender] = 1;
     payment_payloads_[from].push_back(envelope.payload);
     auto& values = payment_values_[from];
     values.clear();
@@ -468,9 +467,7 @@ void RefereeCore::apply_payment(const std::string& from,
         values.push_back(payments.f64());
     }
 
-    const std::size_t quorum =
-        ctx_.churn_enabled() ? churn_active_count() : ctx_.processor_count();
-    if (payment_payloads_.size() == quorum && !payment_evaluation_scheduled_) {
+    if (payment_payloads_.size() == payment_quorum() && !payment_evaluation_scheduled_) {
         // Defer one event so same-timestamp contradictory submissions are
         // all in before judging.
         payment_evaluation_scheduled_ = true;
@@ -559,14 +556,18 @@ std::vector<double> RefereeCore::execution_values() const {
 }
 
 void RefereeCore::recompute_and_settle() {
-    const std::size_t m = ctx_.processor_count();
-    std::vector<double> bids(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
+    std::vector<double> payments;
+    {
+        OBS_SCOPE("payments");
+        const std::size_t m = ctx_.processor_count();
+        std::vector<double> bids(m);
+        for (std::size_t i = 0; i < m; ++i) {
+            bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
+        }
+        const mech::DlsBl mechanism(ctx_.config().kind, ctx_.config().z, bids);
+        const auto exec = execution_values();
+        payments = mechanism.payments(std::span<const double>(exec)).payment;
     }
-    const mech::DlsBl mechanism(ctx_.config().kind, ctx_.config().z, bids);
-    const auto exec = execution_values();
-    const auto breakdown = mechanism.payments(std::span<const double>(exec));
 
     std::set<std::string> wrong;
     for (const auto& [submitter, payloads] : payment_payloads_) {
@@ -574,7 +575,7 @@ void RefereeCore::recompute_and_settle() {
         for (std::size_t i = 1; i < payloads.size(); ++i) {
             if (payloads[i] != payloads[0]) contradictory = true;
         }
-        if (contradictory || payment_values_.at(submitter) != breakdown.payment) {
+        if (contradictory || payment_values_.at(submitter) != payments) {
             wrong.insert(submitter);
         }
     }
@@ -585,7 +586,7 @@ void RefereeCore::recompute_and_settle() {
         // still settle.
         issue_verdict(wrong, "incorrect payment vector(s)", /*terminate=*/false);
     }
-    settle(breakdown.payment);
+    settle(payments);
 }
 
 void RefereeCore::settle(const std::vector<double>& payments) {
@@ -739,35 +740,29 @@ void RefereeCore::finalize_termination_payouts() {
 void RefereeCore::handle_churn_bid(const WireMessage& message) {
     const auto view = wire::SignedMessageView::parse(message.payload);
     if (!view || view->signer != message.from) return;
+    const auto sender = ctx_.find_index(message.from);
+    if (!sender) return;  // only processors bid
     // Deferred intake: the churn recorder is first-bid-wins after
     // verification and emits nothing until the bidder set is complete, so
     // only possible completion (or the batch limit) forces a flush.
     if (ctx_.config().verify_batch > 1) {
-        pending_churn_bids_.push(message.from, view->to_owned());
+        if (pending_churn_bids_.push(*sender, view->to_owned()) &&
+            !churn_bids_.contains(message.from)) {
+            ++queued_unrecorded_bidders_;
+        }
         if (pending_churn_bids_.full() || churn_bid_set_possibly_complete()) {
             flush_deferred();
         }
         return;
     }
     if (!view->verify(ctx_.pki())) return;
-    apply_churn_bid(message.from, view->to_owned(), true);
+    apply_churn_bid(*sender, view->to_owned(), true);
 }
 
-bool RefereeCore::churn_bid_set_possibly_complete() const {
-    if (churn_bids_complete_) return true;
-    std::size_t covered = 0;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (churn_bids_.contains(processor) ||
-            pending_churn_bids_.has_sender(processor)) {
-            ++covered;
-        }
-    }
-    return covered == ctx_.processor_count();
-}
-
-void RefereeCore::apply_churn_bid(const std::string& from,
-                                  const crypto::SignedMessage& envelope, bool verified) {
+void RefereeCore::apply_churn_bid(std::size_t sender, const crypto::SignedMessage& envelope,
+                                  bool verified) {
     if (!verified) return;
+    const std::string& from = ctx_.processor_names()[sender];
     const auto body = wire::BidView::parse(envelope.payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
     // First bid wins: a stale rejoin replaying the identical signed bid is
@@ -783,15 +778,17 @@ void RefereeCore::apply_churn_bid(const std::string& from,
 void RefereeCore::flush_deferred() {
     // Churn bids always precede payment vectors in a round, so replaying
     // the bid queue first preserves global arrival order across queues.
-    pending_churn_bids_.flush(ctx_.pki(), [this](const std::string& from,
+    queued_unrecorded_bidders_ = 0;
+    pending_churn_bids_.flush(ctx_.pki(), [this](std::size_t sender,
                                                  const crypto::SignedMessage& envelope,
                                                  bool verified) {
-        apply_churn_bid(from, envelope, verified);
+        apply_churn_bid(sender, envelope, verified);
     });
-    pending_payments_.flush(ctx_.pki(), [this](const std::string& from,
+    queued_unsubmitted_ = 0;
+    pending_payments_.flush(ctx_.pki(), [this](std::size_t sender,
                                                const crypto::SignedMessage& envelope,
                                                bool verified) {
-        apply_payment(from, envelope, verified);
+        apply_payment(sender, envelope, verified);
     });
 }
 
@@ -1031,7 +1028,11 @@ void RefereeCore::churn_evaluate_payments() {
             inputs.phis[processor] = ctx_.meters().elapsed(processor);
         }
     }
-    const std::vector<double> canonical = churn_settlement_payments(inputs);
+    std::vector<double> canonical;
+    {
+        OBS_SCOPE("payments");
+        canonical = churn_settlement_payments(inputs);
+    }
 
     // Submitted vectors that disagree with the canonical settlement are
     // offense (iii); missing submissions (dead processors) are not fined —

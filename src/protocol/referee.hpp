@@ -97,12 +97,21 @@ class RefereeCore final : public Endpoint {
     // arrivals (churn bids, payment vectors) park unverified and flush in
     // arrival order through Pki::verify_many before any observable action.
     void flush_deferred();
-    void apply_churn_bid(const std::string& from, const crypto::SignedMessage& envelope,
+    void apply_churn_bid(std::size_t sender, const crypto::SignedMessage& envelope,
                          bool verified);
-    void apply_payment(const std::string& from, const crypto::SignedMessage& envelope,
+    void apply_payment(std::size_t sender, const crypto::SignedMessage& envelope,
                        bool verified);
-    [[nodiscard]] bool churn_bid_set_possibly_complete() const;
-    [[nodiscard]] bool payment_quorum_possible() const;
+    // Conservative flush triggers, O(1): could the queued envelopes complete
+    // the bidder set / the payment quorum? A processor counts once whether
+    // it is recorded, queued, or both.
+    [[nodiscard]] bool churn_bid_set_possibly_complete() const noexcept {
+        return churn_bids_complete_ ||
+               churn_bids_.size() + queued_unrecorded_bidders_ == ctx_.processor_count();
+    }
+    [[nodiscard]] std::size_t payment_quorum() const noexcept;
+    [[nodiscard]] bool payment_quorum_possible() const noexcept {
+        return payment_payloads_.size() + queued_unsubmitted_ >= payment_quorum();
+    }
 
     // Validates collected bid vectors: flags entries with bad signatures
     // (offense iv) and double-signed bids; fills verified_bids_ on success.
@@ -179,6 +188,10 @@ class RefereeCore final : public Endpoint {
     bool meters_broadcast_ = false;
     std::map<std::string, std::vector<util::Bytes>> payment_payloads_;
     std::map<std::string, std::vector<double>> payment_values_;
+    // Submitters by processor id (the keys of payment_payloads_), and the
+    // queued ones not among them: the covered-submitter count.
+    std::vector<std::uint8_t> submitted_;
+    std::size_t queued_unsubmitted_ = 0;
     bool payment_evaluation_scheduled_ = false;
     bool settled_ = false;
     std::vector<double> settled_payments_;
@@ -186,6 +199,7 @@ class RefereeCore final : public Endpoint {
 
     // Churn state (untouched outside churn mode).
     std::map<std::string, double> churn_bids_;      // first valid bid per sender
+    std::size_t queued_unrecorded_bidders_ = 0;     // queued, not in churn_bids_
     std::set<std::string> churn_excluded_;          // missing at the bid deadline
     std::vector<std::size_t> churn_counts_;         // prescribed blocks, full size
     bool churn_bids_complete_ = false;

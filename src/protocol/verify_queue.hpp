@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,32 +31,31 @@ namespace dlsbl::protocol {
 class VerifyQueue {
  public:
     struct Item {
-        std::string from;                // transport-level sender
+        std::size_t sender;              // transport-level sender's processor id
         crypto::SignedMessage envelope;  // owned copy; queue outlives the frame
     };
 
-    explicit VerifyQueue(std::size_t batch_limit) noexcept
-        : limit_(batch_limit == 0 ? 1 : batch_limit) {}
+    // `sender_count` bounds the sender ids (RunContext::find_index).
+    VerifyQueue(std::size_t batch_limit, std::size_t sender_count)
+        : limit_(batch_limit == 0 ? 1 : batch_limit), queued_(sender_count, 0) {}
 
     [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
     [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
     [[nodiscard]] bool full() const noexcept { return items_.size() >= limit_; }
 
-    // Any queued envelope from this transport sender?
-    [[nodiscard]] bool has_sender(const std::string& from) const noexcept {
-        for (const auto& item : items_) {
-            if (item.from == from) return true;
-        }
-        return false;
+    // Any queued envelope from this sender? O(1).
+    [[nodiscard]] bool has_sender(std::size_t sender) const noexcept {
+        return queued_[sender] != 0;
     }
 
     // Would this payload conflict with a queued envelope from the same
     // sender? (Offense-(i) evidence might be emitted during the replay, so
     // the caller must flush at this arrival, matching the eager schedule.)
-    [[nodiscard]] bool conflicts(const std::string& from,
+    [[nodiscard]] bool conflicts(std::size_t sender,
                                  std::span<const std::uint8_t> payload) const noexcept {
+        if (!has_sender(sender)) return false;
         for (const auto& item : items_) {
-            if (item.from != from) continue;
+            if (item.sender != sender) continue;
             const auto& held = item.envelope.payload;
             if (held.size() != payload.size() ||
                 !std::equal(held.begin(), held.end(), payload.begin())) {
@@ -67,18 +65,23 @@ class VerifyQueue {
         return false;
     }
 
-    void push(std::string from, crypto::SignedMessage envelope) {
-        items_.push_back({std::move(from), std::move(envelope)});
+    // Queues `envelope`. Returns true when it is the sender's only queued
+    // envelope, i.e. the queue newly covers that sender.
+    bool push(std::size_t sender, crypto::SignedMessage envelope) {
+        items_.push_back({sender, std::move(envelope)});
+        return queued_[sender]++ == 0;
     }
 
     // Verifies everything queued (one Pki::verify_many batch) and invokes
-    // apply(from, envelope, verified) per item in arrival order. Reentrant
-    // pushes during apply() land in the next batch.
+    // apply(sender, envelope, verified) per item in arrival order. The
+    // batch leaves the queue before the first apply(); reentrant pushes
+    // during apply() land in the next batch.
     template <typename Apply>
     void flush(const crypto::Pki& pki, Apply&& apply) {
         if (items_.empty()) return;
         std::vector<Item> batch;
         batch.swap(items_);
+        for (const auto& item : batch) queued_[item.sender] = 0;
         std::vector<crypto::Pki::VerifyRequest> requests(batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
             requests[i] = {&batch[i].envelope.signer, batch[i].envelope.payload,
@@ -89,13 +92,14 @@ class VerifyQueue {
         static_assert(sizeof(bool) == 1);
         pki.verify_many(requests, reinterpret_cast<bool*>(verdicts.data()));
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            apply(batch[i].from, batch[i].envelope, verdicts[i] != 0);
+            apply(batch[i].sender, batch[i].envelope, verdicts[i] != 0);
         }
     }
 
  private:
     std::size_t limit_;
     std::vector<Item> items_;
+    std::vector<std::uint32_t> queued_;  // envelopes queued per sender id
 };
 
 }  // namespace dlsbl::protocol

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dlt/finish_time.hpp"
+#include "dlt/sequencing.hpp"
 
 namespace dlsbl::mech {
 namespace {
@@ -99,8 +103,11 @@ TEST(DlsBl, ExclusionMakespanMatchesSequencing) {
     instance.z = 0.5;
     instance.w = bids;
     for (std::size_t i = 0; i < bids.size(); ++i) {
-        EXPECT_DOUBLE_EQ(mechanism.exclusion_makespan(i),
-                         dlt::leave_one_out_makespan(instance, i));
+        const auto exclusion = std::bit_cast<std::uint64_t>(mechanism.exclusion_makespan(i));
+        EXPECT_EQ(exclusion,
+                  std::bit_cast<std::uint64_t>(dlt::leave_one_out_makespan(instance, i)));
+        EXPECT_EQ(exclusion, std::bit_cast<std::uint64_t>(dlt::optimal_makespan(
+                                 dlt::remove_processor(instance, i))));
     }
 }
 

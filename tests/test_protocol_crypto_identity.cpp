@@ -113,8 +113,10 @@ TEST(ProtocolCryptoIdentity, ScalarInlineEqualsSimdParallel) {
 // eager per-arrival verification: same verdicts at the same sim times, same
 // fines, same artifacts — at any batch size. The scenarios pick the paths
 // where a wrong flush point would show: honest accumulation, a payment-phase
-// verdict, a mid-bidding double-bid dispute, and churn (exclusions,
-// reallocation, canonical settlement).
+// verdict, a mid-bidding double-bid dispute, churn (exclusions,
+// reallocation, canonical settlement), duplicate bids from a stale rejoin,
+// and a bus wider than one batch — the bookkeeping behind the O(1)
+// "could the queue complete the round" test.
 TEST(ProtocolCryptoIdentity, DeferredBatchVerificationMatchesEager) {
     struct Scenario {
         const char* name;
@@ -130,6 +132,27 @@ TEST(ProtocolCryptoIdentity, DeferredBatchVerificationMatchesEager) {
          [](protocol::ProtocolConfig& c) {
              c.churn_plan.events = {{"P3", 0.0, protocol::ChurnEventKind::kCrash}};
          }},
+        {"stale-rejoin-replay",
+         [](protocol::ProtocolConfig& c) {
+             // P2 replays its signed bid while the round is still open, so
+             // every peer (and the referee) takes the same bid twice.
+             c.churn_plan.events = {{"P2", 0.0, protocol::ChurnEventKind::kRestartStale}};
+         }},
+        {"nfe-crash-before-bid",
+         [](protocol::ProtocolConfig& c) {
+             // P1 is down before it can bid: excluded at the bid deadline,
+             // the round closes over the survivors.
+             c.kind = dlt::NetworkKind::kNcpNFE;
+             c.churn_plan.events = {{"P1", 0.0, protocol::ChurnEventKind::kCrash}};
+         }},
+        {"wider-than-a-batch",
+         [](protocol::ProtocolConfig& c) {
+             // m = 24: a batch of 2 or 16 fills before a round can close,
+             // one of 64 never does.
+             c.true_w.clear();
+             for (int i = 0; i < 24; ++i) c.true_w.push_back(0.8 + 0.05 * i);
+             c.strategies.assign(c.true_w.size(), agents::truthful());
+         }},
     };
     for (const auto& scenario : scenarios) {
         auto config = identity_config(crypto::SignatureAlgorithm::kMerkleWots);
@@ -140,7 +163,7 @@ TEST(ProtocolCryptoIdentity, DeferredBatchVerificationMatchesEager) {
         const RunArtifacts eager = capture_run(config);
         ASSERT_FALSE(eager.trace.empty()) << scenario.name;
 
-        for (const std::size_t batch : {std::size_t{16}, std::size_t{64}}) {
+        for (const std::size_t batch : {std::size_t{2}, std::size_t{16}, std::size_t{64}}) {
             config.verify_batch = batch;
             EXPECT_EQ(eager, capture_run(config))
                 << scenario.name << " diverges at verify_batch=" << batch;
