@@ -1,5 +1,6 @@
 #include "crypto/pki.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <unordered_map>
@@ -117,26 +118,40 @@ void Pki::verify_many(std::span<const VerifyRequest> requests, bool* verdicts) c
         return;
     }
 
-    // Cache keys for every registered request, 16 streams at a time. The
-    // framed byte string matches verify_cache_key exactly.
+    // Cache keys for every registered request. A filled key slot supplies
+    // its key; the rest are hashed 16 streams at a time, over the framed
+    // byte string of verify_cache_key, and fill their slot. A slot named
+    // twice in one batch is hashed once.
     std::vector<Digest> keys(n);
     {
+        std::vector<std::size_t> idx;          // requests hashed below
+        std::vector<std::size_t> slot_copies;  // requests whose slot idx fills
         std::size_t total = 0;
         for (std::size_t i = 0; i < n; ++i) {
             if (!entries[i]) continue;
+            const util::VerifyKeySlot* slot = requests[i].key_slot;
+            if (slot != nullptr && slot->filled_) {
+                keys[i] = slot->key_;
+                continue;
+            }
+            if (slot != nullptr && std::any_of(idx.begin(), idx.end(), [&](std::size_t j) {
+                    return requests[j].key_slot == slot;
+                })) {
+                slot_copies.push_back(i);
+                continue;
+            }
+            idx.push_back(i);
             total += 16 + requests[i].signer->size() + requests[i].message.size() +
                      requests[i].signature.size();
         }
         std::vector<std::uint8_t> arena(total);
         std::vector<const std::uint8_t*> ptrs;
         std::vector<std::size_t> lens;
-        std::vector<std::size_t> idx;
         std::size_t pos = 0;
         const auto put_u64 = [&](std::uint64_t v) {
             for (int b = 0; b < 8; ++b) arena[pos++] = static_cast<std::uint8_t>(v >> (8 * b));
         };
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!entries[i]) continue;
+        for (const std::size_t i : idx) {
             const std::size_t start = pos;
             put_u64(requests[i].signer->size());
             std::memcpy(arena.data() + pos, requests[i].signer->data(),
@@ -151,11 +166,17 @@ void Pki::verify_many(std::span<const VerifyRequest> requests, bool* verdicts) c
             pos += requests[i].signature.size();
             ptrs.push_back(arena.data() + start);
             lens.push_back(pos - start);
-            idx.push_back(i);
         }
         std::vector<Digest> digests(idx.size());
         detail::sha256_streams(ptrs.data(), lens.data(), idx.size(), digests.data());
-        for (std::size_t k = 0; k < idx.size(); ++k) keys[idx[k]] = digests[k];
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+            keys[idx[k]] = digests[k];
+            if (util::VerifyKeySlot* slot = requests[idx[k]].key_slot) {
+                slot->key_ = digests[k];
+                slot->filled_ = true;
+            }
+        }
+        for (const std::size_t i : slot_copies) keys[i] = requests[i].key_slot->key_;
     }
 
     // Holding the lock across lookup, compute, and replay keeps the

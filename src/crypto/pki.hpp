@@ -24,6 +24,7 @@
 #include <unordered_map>
 
 #include "crypto/mss.hpp"
+#include "util/frame.hpp"
 
 namespace dlsbl::crypto {
 
@@ -64,10 +65,18 @@ class Pki {
 
     // One element of a verify_many batch. `signer` must outlive the call;
     // spans are borrowed, not copied.
+    //
+    // `key_slot` (optional) is the memo cell of the frame the request was
+    // parsed from: `message` and `signature` view that frame's bytes and
+    // *signer equals its signer field. The frame is immutable, so its cache
+    // key never changes; verify_many hashes it on the slot's first use,
+    // stores it there, and reads it back on every later request that names
+    // the slot.
     struct VerifyRequest {
         const Identity* signer = nullptr;
         std::span<const std::uint8_t> message;
         std::span<const std::uint8_t> signature;
+        util::VerifyKeySlot* key_slot = nullptr;
     };
 
     // Verifies a batch; verdicts[i] <- verify(*requests[i].signer, ...).
@@ -75,7 +84,7 @@ class Pki {
     // order — verdicts, cache contents, and hit/miss statistics all
     // replay the sequential algorithm exactly — but distinct uncached
     // MSS signatures are checked through the amortized batch engine, and
-    // cache keys are hashed 16 at a time.
+    // cache keys are hashed 16 at a time, once per key slot.
     void verify_many(std::span<const VerifyRequest> requests, bool* verdicts) const;
 
     [[nodiscard]] std::size_t participant_count() const noexcept { return entries_.size(); }

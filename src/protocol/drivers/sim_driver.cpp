@@ -20,7 +20,8 @@ namespace dlsbl::protocol {
 namespace {
 
 // Presents an Endpoint to the network as a sim::Process; envelopes are
-// mirrored field-for-field into WireMessages.
+// mirrored field-for-field into WireMessages, which share the envelope's
+// frame.
 class EndpointProcess final : public sim::Process {
  public:
     explicit EndpointProcess(Endpoint& endpoint)
@@ -29,7 +30,7 @@ class EndpointProcess final : public sim::Process {
     void on_start() override { endpoint_.on_start(); }
     void on_message(const sim::Envelope& envelope) override {
         endpoint_.on_message(WireMessage{envelope.from, envelope.to, envelope.type,
-                                         envelope.payload, envelope.sent_at,
+                                         envelope.frame, envelope.sent_at,
                                          envelope.span_id});
     }
 
@@ -82,17 +83,17 @@ class SimDriver final : public Driver, public Clock, public Transport {
 
     // --- Transport ----------------------------------------------------------
     void unicast(const std::string& from, const std::string& to, std::uint32_t type,
-                 util::Bytes payload, std::uint64_t span_id) override {
-        network_.send(from, to, type, std::move(payload), span_id);
+                 util::Frame frame, std::uint64_t span_id) override {
+        network_.send(from, to, type, std::move(frame), span_id);
     }
-    void broadcast(const std::string& from, std::uint32_t type, util::Bytes payload,
+    void broadcast(const std::string& from, std::uint32_t type, util::Frame frame,
                    std::uint64_t span_id) override {
-        network_.broadcast(from, type, std::move(payload), span_id);
+        network_.broadcast(from, type, std::move(frame), span_id);
     }
     void transfer_load(const std::string& from, const std::string& to, double units,
-                       std::uint32_t type, util::Bytes payload,
+                       std::uint32_t type, util::Frame frame,
                        std::uint64_t span_id) override {
-        network_.transfer_load(from, to, units, type, std::move(payload), span_id);
+        network_.transfer_load(from, to, units, type, std::move(frame), span_id);
     }
     [[nodiscard]] double bus_free_at() const override { return network_.bus_free_at(); }
 

@@ -23,26 +23,36 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/bytes.hpp"
+#include "util/frame.hpp"
 
 namespace dlsbl::protocol {
 
 // A message as the cores see it: transport-neutral mirror of what crosses
-// the bus. `to` is empty for broadcasts; `span_id` carries the sender's
-// causal span (0 = untracked) so receivers can parent their own spans on it.
+// the bus. `to` is the receiving endpoint (for a broadcast too); `span_id`
+// carries the sender's causal span (0 = untracked) so receivers can parent
+// their own spans on it.
+//
+// `frame` is the sent frame itself, shared with every other recipient, not
+// a copy. payload() is a view of it, so a core that keeps anything parsed
+// from the payload past on_message keeps the frame with it.
 struct WireMessage {
     std::string from;
     std::string to;
     std::uint32_t type = 0;
-    util::Bytes payload;
+    util::Frame frame;
     double sent_at = 0.0;
     std::uint64_t span_id = 0;
+
+    [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept {
+        return frame.bytes();
+    }
 };
 
 // Logical time: read now(), request callbacks at an absolute logical time or
@@ -76,20 +86,22 @@ class Transport {
     virtual ~Transport() = default;
 
     // Reliable unicast; counted in the communication-complexity metrics.
+    // A freshly encoded util::Bytes converts to a frame by move.
     virtual void unicast(const std::string& from, const std::string& to,
-                         std::uint32_t type, util::Bytes payload,
+                         std::uint32_t type, util::Frame frame,
                          std::uint64_t span_id = 0) = 0;
 
     // Atomic reliable broadcast: every endpoint except the sender receives
-    // the identical payload. Counted once (one bus transmission).
+    // the one frame (shared, not copied). Counted once (one bus
+    // transmission).
     virtual void broadcast(const std::string& from, std::uint32_t type,
-                           util::Bytes payload, std::uint64_t span_id = 0) = 0;
+                           util::Frame frame, std::uint64_t span_id = 0) = 0;
 
     // A load transfer of `units` load: waits for the bus, holds it for
-    // units * z, then delivers the payload (the block batch) to `to`.
+    // units * z, then delivers the frame (the block batch) to `to`.
     virtual void transfer_load(const std::string& from, const std::string& to,
                                double units, std::uint32_t type,
-                               util::Bytes payload, std::uint64_t span_id = 0) = 0;
+                               util::Frame frame, std::uint64_t span_id = 0) = 0;
 
     // Logical time at which the one-port bus next becomes free.
     [[nodiscard]] virtual double bus_free_at() const = 0;

@@ -28,7 +28,7 @@ NodeCore::NodeCore(RunContext& context, std::size_t index,
       bid_values_(context.processor_count(), 0.0),
       excluded_(context.processor_count(), 0),
       active_count_(context.processor_count()),
-      pending_bids_(context.config().verify_batch, context.processor_count()) {
+      pending_bids_(context.config().verify_batch, context.processor_names()) {
     bid_ = strategy_.bid_factor * true_w_;
     // Physical constraint enforced again by the context at execution time.
     exec_rate_ = std::max(true_w_, strategy_.exec_factor * true_w_);
@@ -76,14 +76,16 @@ void NodeCore::on_start() {
     if (ctx_.churn_enabled()) {
         for (const double t : ctx_.config().churn_plan.stale_rejoin_times(name())) {
             ctx_.clock().call_at(t, [this] {
-                // A stale rejoin replays the stored signed bid verbatim: a
-                // fresh signature would be a *different* payload (one-time
-                // signature keys) and read as offense (i). Peers dedup the
-                // identical copy; the referee's first-bid-wins rule too.
-                if (ctx_.terminated() || bid_payload_.empty()) return;
+                // A stale rejoin replays its first signed bid, the very
+                // frame it broadcast: a fresh signature would be a
+                // *different* payload (one-time signature keys) and read as
+                // offense (i). Peers dedup the identical copy; the
+                // referee's first-bid-wins rule too.
+                const auto& own = first_bids_[index_];
+                if (ctx_.terminated() || !own) return;
                 ctx_.transport().note_churn(ctx_.clock().now(), name(),
                                             "stale-rejoin replay=bid");
-                ctx_.transport().broadcast(name(), to_wire(MsgType::kBid), bid_payload_);
+                ctx_.transport().broadcast(name(), to_wire(MsgType::kBid), own->frame());
             });
         }
     }
@@ -95,18 +97,20 @@ void NodeCore::broadcast_bid(double value) {
     body.processor = name();
     body.bid = value;
     const auto signed_msg = crypto::sign_message(*signer_, name(), wire::flat_encode(body));
-    auto envelope = wire::flat_encode(signed_msg);
-    if (bid_payload_.empty()) bid_payload_ = envelope;
-    // The node records its own (first) bid the same way it records peers'.
+    util::Frame frame = wire::flat_encode(signed_msg);
+    // The node records its own (first) bid the same way it records peers',
+    // by reference to the frame it broadcasts.
     if (!first_bids_[index_]) {
-        record_bid(index_, signed_msg, value);
-        maybe_finish_bidding();
+        if (auto own = wire::SignedFrame::parse(frame)) {
+            record_bid(index_, *own, value);
+            maybe_finish_bidding();
+        }
     }
     // Causal anchor: the broadcast's bus records carry this span, so every
     // receiver's handling links back to the sender's bidding activity.
     const obs::SpanContext bid_span = ctx_.spans().instant(
         "msg:bid", name(), ctx_.clock().now(), ctx_.phase_span().span_id);
-    ctx_.transport().broadcast(name(), to_wire(MsgType::kBid), std::move(envelope),
+    ctx_.transport().broadcast(name(), to_wire(MsgType::kBid), std::move(frame),
                                bid_span.span_id);
 }
 
@@ -117,61 +121,59 @@ void NodeCore::on_message(const WireMessage& message) {
 
 void NodeCore::handle_bid(const WireMessage& message) {
     OBS_SCOPE("bid_intake");
-    const auto view = wire::SignedMessageView::parse(message.payload);
-    if (!view) return;  // malformed: discarded (§4 Bidding)
-    if (view->signer != message.from) return;
+    auto envelope = wire::SignedFrame::parse(message.frame);
+    if (!envelope) return;  // malformed: discarded (§4 Bidding)
+    if (envelope->view().signer != message.from) return;
     const auto sender = ctx_.find_index(message.from);
     if (!sender) return;  // only processors bid
 
     // Deferred intake: park the envelope unverified and flush at the first
     // point an observable could depend on a verdict — a possible conflict
     // (accusation bytes), a possibly-complete round (allocation / phase
-    // change), or the batch limit. The false-accuse deviation emits on its
-    // very first recorded bid, so that strategy stays eager.
-    if (ctx_.config().verify_batch > 1 && !strategy_.false_accuse) {
-        const auto& existing = first_bids_[*sender];
-        const bool conflict =
-            pending_bids_.conflicts(*sender, view->payload) ||
-            (existing && !(existing->payload.size() == view->payload.size() &&
-                           std::equal(existing->payload.begin(), existing->payload.end(),
-                                      view->payload.begin())));
-        if (pending_bids_.push(*sender, view->to_owned()) && !existing &&
-            excluded_[*sender] == 0) {
-            ++active_queued_;
-        }
-        if (pending_bids_.full() || conflict || bid_set_possibly_complete()) {
-            flush_pending_bids();
-        }
-        return;
+    // change), or the batch limit (1 when verify_batch <= 1: eager). The
+    // false-accuse deviation emits on its very first recorded bid, so that
+    // strategy flushes every arrival too.
+    const auto& existing = first_bids_[*sender];
+    const auto payload = envelope->view().payload;
+    const bool conflict = pending_bids_.conflicts(*sender, payload) ||
+                          (existing && !std::ranges::equal(existing->view().payload, payload));
+    if (pending_bids_.push(*sender, std::move(*envelope)) && !existing &&
+        excluded_[*sender] == 0) {
+        ++active_queued_;
     }
-    apply_bid(*sender, view->to_owned(), view->verify(ctx_.pki()));
+    if (strategy_.false_accuse || pending_bids_.full() || conflict ||
+        bid_set_possibly_complete()) {
+        flush_pending_bids();
+    }
 }
 
 void NodeCore::flush_pending_bids() {
     active_queued_ = 0;  // the whole queue is replayed below
     pending_bids_.flush(ctx_.pki(), [this](std::size_t sender,
-                                           const crypto::SignedMessage& envelope,
+                                           const wire::SignedFrame& envelope,
                                            bool verified) {
         apply_bid(sender, envelope, verified);
     });
 }
 
-void NodeCore::apply_bid(std::size_t sender, const crypto::SignedMessage& envelope,
+void NodeCore::apply_bid(std::size_t sender, const wire::SignedFrame& envelope,
                          bool verified) {
     if (!verified) return;  // fails verification: discarded
     const std::string& from = ctx_.processor_names()[sender];
-    const auto body = wire::BidView::parse(envelope.payload);
+    const auto body = wire::BidView::parse(envelope.view().payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
 
     if (const auto& existing = first_bids_[sender]) {
-        if (existing->payload == envelope.payload) return;  // duplicate copy
+        if (std::ranges::equal(existing->view().payload, envelope.view().payload)) {
+            return;  // duplicate copy
+        }
         // Offense (i): two authenticated, different bids from one sender.
         if (strategy_.report_deviations && !accused_double_bid_) {
             accused_double_bid_ = true;
             DoubleBidEvidence evidence;
             evidence.accused = from;
-            evidence.first = *existing;
-            evidence.second = envelope;
+            evidence.first = existing->view().to_owned();
+            evidence.second = envelope.view().to_owned();
             ctx_.transport().unicast(name(), ctx_.referee_name(),
                                      to_wire(MsgType::kAccuseDoubleBid),
                                      wire::flat_encode(evidence));
@@ -183,19 +185,20 @@ void NodeCore::apply_bid(std::size_t sender, const crypto::SignedMessage& envelo
     maybe_finish_bidding();
 }
 
-void NodeCore::record_bid(std::size_t sender, const crypto::SignedMessage& envelope,
+void NodeCore::record_bid(std::size_t sender, const wire::SignedFrame& envelope,
                           double value) {
     first_bids_[sender] = envelope;
     bid_values_[sender] = value;
     if (excluded_[sender] == 0) ++active_recorded_;
 }
 
-void NodeCore::maybe_false_accuse(const crypto::SignedMessage& genuine) {
+void NodeCore::maybe_false_accuse(const wire::SignedFrame& envelope) {
     if (!strategy_.false_accuse || false_accused_) return;
     false_accused_ = true;
     // Offense (v): fabricate a "second bid" by mutating the genuine payload.
     // The signature no longer matches, so the referee will find the claim
     // unfounded and fine the accuser.
+    const crypto::SignedMessage genuine = envelope.view().to_owned();
     crypto::SignedMessage forged = genuine;
     const auto view = wire::BidView::parse(forged.payload);
     if (!view) return;
@@ -317,7 +320,7 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
         // A churn reallocation: the LO shipped part of the dead processor's
         // undone range. Verified and executed as a second meter segment,
         // accounted separately from the primary assignment.
-        const auto extra_batch = wire::LoadBatchView::parse(message.payload);
+        const auto extra_batch = wire::LoadBatchView::parse(message.payload());
         if (!extra_batch) return;
         const obs::SpanContext verify_span = ctx_.spans().open(
             "verify_blocks", name(), ctx_.clock().now(),
@@ -331,7 +334,7 @@ void NodeCore::handle_load_delivery(const WireMessage& message) {
         }
         return;
     }
-    const auto batch = wire::LoadBatchView::parse(message.payload);
+    const auto batch = wire::LoadBatchView::parse(message.payload());
     if (!batch) return;
     // Verification parents on the delivery's ship span when it carried one,
     // so the catapult view shows LO ship -> bus transfer -> receiver verify.
@@ -420,7 +423,7 @@ void NodeCore::begin_processing(std::size_t blocks) {
 
 void NodeCore::handle_meter_broadcast(const WireMessage& message) {
     flush_pending_bids();  // the payment computation reads bid_values_
-    const auto view = wire::MeterVectorView::parse(message.payload);
+    const auto view = wire::MeterVectorView::parse(message.payload());
     if (!view || message.from != ctx_.referee_name()) return;
     // Only a node that followed the round this far has an allocation and a
     // complete bid table to pay against; an early vector is dropped.
@@ -506,7 +509,7 @@ void NodeCore::handle_bid_vector_request() {
     body.submitter = name();
     for (std::size_t j = 0; j < first_bids_.size(); ++j) {
         if (!first_bids_[j]) continue;
-        crypto::SignedMessage entry = *first_bids_[j];
+        crypto::SignedMessage entry = first_bids_[j]->view().to_owned();
         if (strategy_.tamper_bid_vector && j == index_) {
             // Offense (iv): alter own bid and re-sign — a *valid* signature
             // over a value inconsistent with what everyone else holds,
@@ -528,7 +531,7 @@ void NodeCore::handle_bid_vector_request() {
 
 void NodeCore::handle_mediate_request(const WireMessage& message) {
     flush_pending_bids();  // mediation replies are observable emissions
-    const auto request = wire::MediateRequestView::parse(message.payload);
+    const auto request = wire::MediateRequestView::parse(message.payload());
     if (!request || !is_load_origin()) return;
     if (strategy_.lo_refuse_mediation) {
         util::ByteWriter w;
@@ -549,7 +552,7 @@ void NodeCore::handle_mediate_request(const WireMessage& message) {
 void NodeCore::handle_exclude(const WireMessage& message) {
     if (!ctx_.churn_enabled() || message.from != ctx_.referee_name()) return;
     flush_pending_bids();  // exclusion shrinks the active set the queue gates on
-    const auto body = wire::ExcludeView::parse(message.payload);
+    const auto body = wire::ExcludeView::parse(message.payload());
     if (!body || body->job_id != ctx_.job_id()) return;
     wire::Cursor excluded_names = body->excluded;
     for (std::uint64_t k = 0; k < body->excluded_count; ++k) {
@@ -578,7 +581,7 @@ void NodeCore::handle_exclude(const WireMessage& message) {
 void NodeCore::handle_realloc(const WireMessage& message) {
     if (!ctx_.churn_enabled() || message.from != ctx_.referee_name()) return;
     flush_pending_bids();  // reallocation reads the finished-bidding state
-    const auto body = wire::ReallocView::parse(message.payload);
+    const auto body = wire::ReallocView::parse(message.payload());
     if (!body || body->job_id != ctx_.job_id()) return;
     if (excluded_self_ || !bidding_finished_) return;
     realloc_dead_ = std::string(body->dead);

@@ -57,11 +57,11 @@ class NodeCore final : public Endpoint {
     void broadcast_bid(double value);
     void handle_bid(const WireMessage& message);
     // Post-verification bid intake (record / dedup / accuse / finish) —
-    // runs eagerly per arrival, or replayed in arrival order by a queue
-    // flush; the two schedules are byte-identical (see verify_queue.hpp).
-    void apply_bid(std::size_t sender, const crypto::SignedMessage& envelope,
-                   bool verified);
-    void record_bid(std::size_t sender, const crypto::SignedMessage& envelope, double value);
+    // replayed in arrival order by a queue flush, at every arrival when
+    // verification is eager; every batch limit gives the same bytes (see
+    // verify_queue.hpp).
+    void apply_bid(std::size_t sender, const wire::SignedFrame& envelope, bool verified);
+    void record_bid(std::size_t sender, const wire::SignedFrame& envelope, double value);
     // Conservative structural test: could recording the pending envelopes
     // complete the active bid set? (Completion is the only verdict-
     // dependent observable that isn't a conflict.) O(1): every active
@@ -92,7 +92,7 @@ class NodeCore final : public Endpoint {
     void handle_mediate_request(const WireMessage& message);
     void file_complaint(AllocComplaintKind kind, std::size_t expected, std::size_t received,
                         std::vector<BlockBatch> held);
-    void maybe_false_accuse(const crypto::SignedMessage& genuine);
+    void maybe_false_accuse(const wire::SignedFrame& envelope);
 
     RunContext& ctx_;
     std::size_t index_;
@@ -105,9 +105,11 @@ class NodeCore final : public Endpoint {
     double exec_rate_ = 0.0;
 
     // Bid tables indexed by processor id (RunContext::find_index). The
-    // first valid signed bid per sender, and its value; a second, different
-    // valid bid from the same sender is offense (i) evidence.
-    std::vector<std::optional<crypto::SignedMessage>> first_bids_;
+    // first valid signed bid per sender, held by its frame (the one every
+    // recipient shares; the node's own is the frame it broadcast), and its
+    // value; a second, different valid bid from the same sender is offense
+    // (i) evidence.
+    std::vector<std::optional<wire::SignedFrame>> first_bids_;
     std::vector<double> bid_values_;
     // Referee's bid-deadline exclusions (churn mode), same ids.
     std::vector<std::uint8_t> excluded_;
@@ -139,7 +141,6 @@ class NodeCore final : public Endpoint {
     bool settled_ = false;
 
     // --- churn state (untouched outside churn mode) --------------------------
-    util::Bytes bid_payload_;            // first signed bid, stored for stale replay
     bool excluded_self_ = false;
     std::size_t extra_pending_ = 0;      // reallocated blocks awaiting delivery
     std::size_t extra_received_ = 0;

@@ -19,13 +19,20 @@ constexpr const char* kDisputesOpenedMetric = "dlsbl_referee_disputes_opened_tot
 constexpr const char* kDisputesResolvedMetric = "dlsbl_referee_disputes_resolved_total";
 constexpr const char* kAccusationsMetric = "dlsbl_referee_accusations_total";
 constexpr const char* kVerifyCacheMetric = "dlsbl_referee_verify_cache_total";
+
+// Did one submitter send two different payment vectors (offense iii)?
+bool contradicts(const std::vector<wire::SignedFrame>& submissions) {
+    return std::any_of(submissions.begin(), submissions.end(), [&](const auto& s) {
+        return !std::ranges::equal(s.view().payload, submissions.front().view().payload);
+    });
+}
 }  // namespace
 
 RefereeCore::RefereeCore(RunContext& context)
     : Endpoint(context.referee_name()),
       ctx_(context),
-      pending_churn_bids_(context.config().verify_batch, context.processor_count()),
-      pending_payments_(context.config().verify_batch, context.processor_count()),
+      pending_churn_bids_(context.config().verify_batch, context.processor_names()),
+      pending_payments_(context.config().verify_batch, context.processor_names()),
       submitted_(context.processor_count(), 0) {
     register_handlers();
     if (ctx_.churn_enabled()) {
@@ -108,7 +115,7 @@ void RefereeCore::on_message(const WireMessage& message) {
 void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
     flush_deferred();  // verdict bytes must not depend on queued envelopes
     if (verdict_issued_) return;
-    const auto evidence = wire::DoubleBidEvidenceView::parse(message.payload);
+    const auto evidence = wire::DoubleBidEvidenceView::parse(message.payload());
     if (!evidence) return;
     const std::string& accuser = message.from;
     const std::string accused{evidence->accused};
@@ -149,7 +156,7 @@ void RefereeCore::handle_alloc_complaint(const WireMessage& message) {
     // Cold dispute path: the complaint's held batches must outlive this
     // frame (stored in open_complaint_), so the owning legacy decode is
     // the right tool here.  DLSBL_LINT_ALLOW(protocol-codec)
-    auto complaint = AllocComplaintBody::deserialize(message.payload);
+    auto complaint = AllocComplaintBody::deserialize(message.payload());
     if (!complaint || complaint->complainant != message.from) return;
     if (message.from == ctx_.load_origin()) return;  // the LO cannot complain about itself
 
@@ -172,7 +179,7 @@ void RefereeCore::handle_bid_vector_response(const WireMessage& message) {
     }
     // Cold dispute path: responses are stored whole until both arrive, so
     // the owning legacy decode applies.  DLSBL_LINT_ALLOW(protocol-codec)
-    auto body = BidVectorBody::deserialize(message.payload);
+    auto body = BidVectorBody::deserialize(message.payload());
     if (!body || body->submitter != message.from) return;
     if (!bid_vector_expected_.contains(message.from)) return;
     bid_vector_responses_[message.from] = std::move(*body);
@@ -360,7 +367,7 @@ void RefereeCore::handle_mediate_blocks(const WireMessage& message) {
     flush_deferred();  // every branch below issues a verdict
     if (stage_ != DisputeStage::kAllocAwaitingMediation) return;
     if (message.from != ctx_.load_origin()) return;
-    const auto batch = wire::LoadBatchView::parse(message.payload);
+    const auto batch = wire::LoadBatchView::parse(message.payload());
     const std::string& lo = ctx_.load_origin();
     if (!batch) {
         count_accusation("allocation", /*substantiated=*/true);
@@ -421,26 +428,20 @@ void RefereeCore::on_all_meters_done() {
 
 void RefereeCore::handle_payment_vector(const WireMessage& message) {
     if (settled_ || verdict_issued_) return;
-    const auto view = wire::SignedMessageView::parse(message.payload);
-    if (!view || view->signer != message.from) return;
+    auto envelope = wire::SignedFrame::parse(message.frame);
+    if (!envelope || envelope->view().signer != message.from) return;
     const auto sender = ctx_.find_index(message.from);
     if (!sender) return;  // only processors submit payment vectors
 
     // Deferred intake: submissions accumulate unverified; the flush — at
-    // the possible quorum, the batch limit, or any observable boundary —
-    // replays arrival order, so discards and the evaluation schedule land
-    // exactly where eager verification would put them.
-    if (ctx_.config().verify_batch > 1) {
-        if (pending_payments_.push(*sender, view->to_owned()) && submitted_[*sender] == 0) {
-            ++queued_unsubmitted_;
-        }
-        if (pending_payments_.full() || payment_quorum_possible()) flush_deferred();
-        return;
+    // the possible quorum, the batch limit (1 when verify_batch <= 1:
+    // eager), or any observable boundary — replays arrival order, so
+    // discards and the evaluation schedule land exactly where eager
+    // verification would put them.
+    if (pending_payments_.push(*sender, std::move(*envelope)) && submitted_[*sender] == 0) {
+        ++queued_unsubmitted_;
     }
-    if (!view->verify(ctx_.pki())) {
-        return;  // unauthenticated submissions are discarded
-    }
-    apply_payment(*sender, view->to_owned(), true);
+    if (pending_payments_.full() || payment_quorum_possible()) flush_deferred();
 }
 
 std::size_t RefereeCore::payment_quorum() const noexcept {
@@ -449,16 +450,16 @@ std::size_t RefereeCore::payment_quorum() const noexcept {
     return ctx_.churn_enabled() ? churn_active_count() : ctx_.processor_count();
 }
 
-void RefereeCore::apply_payment(std::size_t sender, const crypto::SignedMessage& envelope,
+void RefereeCore::apply_payment(std::size_t sender, const wire::SignedFrame& envelope,
                                 bool verified) {
     if (!verified) return;  // unauthenticated submissions are discarded
     const std::string& from = ctx_.processor_names()[sender];
-    const auto body = wire::PaymentView::parse(envelope.payload);
+    const auto body = wire::PaymentView::parse(envelope.view().payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
     if (body->payment_count != ctx_.processor_count()) return;
 
     submitted_[sender] = 1;
-    payment_payloads_[from].push_back(envelope.payload);
+    payment_submissions_[from].push_back(envelope);
     auto& values = payment_values_[from];
     values.clear();
     values.reserve(body->payment_count);
@@ -467,7 +468,7 @@ void RefereeCore::apply_payment(std::size_t sender, const crypto::SignedMessage&
         values.push_back(payments.f64());
     }
 
-    if (payment_payloads_.size() == payment_quorum() && !payment_evaluation_scheduled_) {
+    if (payment_submissions_.size() == payment_quorum() && !payment_evaluation_scheduled_) {
         // Defer one event so same-timestamp contradictory submissions are
         // all in before judging.
         payment_evaluation_scheduled_ = true;
@@ -491,10 +492,8 @@ void RefereeCore::evaluate_payments() {
     // Contradictory submissions (§4: "If there are multiple contradictory
     // messages from P_i, the referee fines it").
     std::set<std::string> contradictory;
-    for (const auto& [submitter, payloads] : payment_payloads_) {
-        for (std::size_t i = 1; i < payloads.size(); ++i) {
-            if (payloads[i] != payloads[0]) contradictory.insert(submitter);
-        }
+    for (const auto& [submitter, submissions] : payment_submissions_) {
+        if (contradicts(submissions)) contradictory.insert(submitter);
     }
 
     // Equality check across submitters.
@@ -570,12 +569,8 @@ void RefereeCore::recompute_and_settle() {
     }
 
     std::set<std::string> wrong;
-    for (const auto& [submitter, payloads] : payment_payloads_) {
-        bool contradictory = false;
-        for (std::size_t i = 1; i < payloads.size(); ++i) {
-            if (payloads[i] != payloads[0]) contradictory = true;
-        }
-        if (contradictory || payment_values_.at(submitter) != payments) {
+    for (const auto& [submitter, submissions] : payment_submissions_) {
+        if (contradicts(submissions) || payment_values_.at(submitter) != payments) {
             wrong.insert(submitter);
         }
     }
@@ -738,32 +733,27 @@ void RefereeCore::finalize_termination_payouts() {
 // ---- churn machinery (DESIGN.md "Churn model") ------------------------------
 
 void RefereeCore::handle_churn_bid(const WireMessage& message) {
-    const auto view = wire::SignedMessageView::parse(message.payload);
-    if (!view || view->signer != message.from) return;
+    auto envelope = wire::SignedFrame::parse(message.frame);
+    if (!envelope || envelope->view().signer != message.from) return;
     const auto sender = ctx_.find_index(message.from);
     if (!sender) return;  // only processors bid
     // Deferred intake: the churn recorder is first-bid-wins after
     // verification and emits nothing until the bidder set is complete, so
     // only possible completion (or the batch limit) forces a flush.
-    if (ctx_.config().verify_batch > 1) {
-        if (pending_churn_bids_.push(*sender, view->to_owned()) &&
-            !churn_bids_.contains(message.from)) {
-            ++queued_unrecorded_bidders_;
-        }
-        if (pending_churn_bids_.full() || churn_bid_set_possibly_complete()) {
-            flush_deferred();
-        }
-        return;
+    if (pending_churn_bids_.push(*sender, std::move(*envelope)) &&
+        !churn_bids_.contains(message.from)) {
+        ++queued_unrecorded_bidders_;
     }
-    if (!view->verify(ctx_.pki())) return;
-    apply_churn_bid(*sender, view->to_owned(), true);
+    if (pending_churn_bids_.full() || churn_bid_set_possibly_complete()) {
+        flush_deferred();
+    }
 }
 
-void RefereeCore::apply_churn_bid(std::size_t sender, const crypto::SignedMessage& envelope,
+void RefereeCore::apply_churn_bid(std::size_t sender, const wire::SignedFrame& envelope,
                                   bool verified) {
     if (!verified) return;
     const std::string& from = ctx_.processor_names()[sender];
-    const auto body = wire::BidView::parse(envelope.payload);
+    const auto body = wire::BidView::parse(envelope.view().payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
     // First bid wins: a stale rejoin replaying the identical signed bid is
     // benign, and a genuinely different second bid is offense (i) — the
@@ -780,13 +770,13 @@ void RefereeCore::flush_deferred() {
     // the bid queue first preserves global arrival order across queues.
     queued_unrecorded_bidders_ = 0;
     pending_churn_bids_.flush(ctx_.pki(), [this](std::size_t sender,
-                                                 const crypto::SignedMessage& envelope,
+                                                 const wire::SignedFrame& envelope,
                                                  bool verified) {
         apply_churn_bid(sender, envelope, verified);
     });
     queued_unsubmitted_ = 0;
     pending_payments_.flush(ctx_.pki(), [this](std::size_t sender,
-                                               const crypto::SignedMessage& envelope,
+                                               const wire::SignedFrame& envelope,
                                                bool verified) {
         apply_payment(sender, envelope, verified);
     });
@@ -985,11 +975,11 @@ void RefereeCore::maybe_finish_meters() {
             body.phis.emplace_back(processor, ctx_.meters().elapsed(processor));
         }
     }
-    churn_meter_payload_ = wire::flat_encode(body);
+    churn_meter_frame_ = wire::flat_encode(body);
     const obs::SpanContext meter_span = ctx_.spans().instant(
         "msg:meter_broadcast", name(), ctx_.clock().now(), ctx_.phase_span().span_id);
     ctx_.transport().broadcast(name(), to_wire(MsgType::kMeterBroadcast),
-                               churn_meter_payload_, meter_span.span_id);
+                               churn_meter_frame_, meter_span.span_id);
     const double timeout = ctx_.config().churn_plan.policy.payment_timeout;
     ctx_.clock().call_after(timeout, [this] {
         if (settled_ || ctx_.terminated() || verdict_issued_) return;
@@ -997,7 +987,7 @@ void RefereeCore::maybe_finish_meters() {
         // fell into a loss window (submitters dedup on their side).
         ctx_.transport().note_churn(ctx_.clock().now(), name(), "meter-retransmit");
         ctx_.transport().broadcast(name(), to_wire(MsgType::kMeterBroadcast),
-                                   churn_meter_payload_);
+                                   churn_meter_frame_);
     });
     if (!churn_settle_scheduled_) {
         churn_settle_scheduled_ = true;
@@ -1038,12 +1028,8 @@ void RefereeCore::churn_evaluate_payments() {
     // offense (iii); missing submissions (dead processors) are not fined —
     // death is not an offense.
     std::set<std::string> wrong;
-    for (const auto& [submitter, payloads] : payment_payloads_) {
-        bool contradictory = false;
-        for (std::size_t i = 1; i < payloads.size(); ++i) {
-            if (payloads[i] != payloads[0]) contradictory = true;
-        }
-        if (contradictory || payment_values_.at(submitter) != canonical) {
+    for (const auto& [submitter, submissions] : payment_submissions_) {
+        if (contradicts(submissions) || payment_values_.at(submitter) != canonical) {
             wrong.insert(submitter);
         }
     }

@@ -97,9 +97,9 @@ class RefereeCore final : public Endpoint {
     // arrivals (churn bids, payment vectors) park unverified and flush in
     // arrival order through Pki::verify_many before any observable action.
     void flush_deferred();
-    void apply_churn_bid(std::size_t sender, const crypto::SignedMessage& envelope,
+    void apply_churn_bid(std::size_t sender, const wire::SignedFrame& envelope,
                          bool verified);
-    void apply_payment(std::size_t sender, const crypto::SignedMessage& envelope,
+    void apply_payment(std::size_t sender, const wire::SignedFrame& envelope,
                        bool verified);
     // Conservative flush triggers, O(1): could the queued envelopes complete
     // the bidder set / the payment quorum? A processor counts once whether
@@ -110,7 +110,7 @@ class RefereeCore final : public Endpoint {
     }
     [[nodiscard]] std::size_t payment_quorum() const noexcept;
     [[nodiscard]] bool payment_quorum_possible() const noexcept {
-        return payment_payloads_.size() + queued_unsubmitted_ >= payment_quorum();
+        return payment_submissions_.size() + queued_unsubmitted_ >= payment_quorum();
     }
 
     // Validates collected bid vectors: flags entries with bad signatures
@@ -186,9 +186,10 @@ class RefereeCore final : public Endpoint {
 
     // payment phase
     bool meters_broadcast_ = false;
-    std::map<std::string, std::vector<util::Bytes>> payment_payloads_;
+    // Every authentic submission per submitter, held by its frame.
+    std::map<std::string, std::vector<wire::SignedFrame>> payment_submissions_;
     std::map<std::string, std::vector<double>> payment_values_;
-    // Submitters by processor id (the keys of payment_payloads_), and the
+    // Submitters by processor id (the keys of payment_submissions_), and the
     // queued ones not among them: the covered-submitter count.
     std::vector<std::uint8_t> submitted_;
     std::size_t queued_unsubmitted_ = 0;
@@ -209,7 +210,7 @@ class RefereeCore final : public Endpoint {
     std::string churn_dead_;
     std::uint64_t churn_dead_final_ = 0;
     std::size_t churn_realloc_blocks_ = 0;
-    util::Bytes churn_meter_payload_;               // stored for retransmission
+    util::Frame churn_meter_frame_;                 // kept for retransmission
     bool churn_settle_scheduled_ = false;
 
     // Terminating-verdict payout state.

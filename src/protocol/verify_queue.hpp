@@ -16,28 +16,38 @@
 // (possible bid conflict, possibly-complete round). Under that discipline
 // a run's artifacts are byte-identical at any batch limit; limit <= 1
 // degenerates to eager per-arrival verification.
+//
+// Items hold the delivered frame itself, not a copy, and each request
+// names the frame's key slot: a broadcast bid that reaches m queues is
+// stored once and its verify-cache key is hashed once.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/pki.hpp"
+#include "protocol/wire.hpp"
 
 namespace dlsbl::protocol {
 
 class VerifyQueue {
  public:
     struct Item {
-        std::size_t sender;              // transport-level sender's processor id
-        crypto::SignedMessage envelope;  // owned copy; queue outlives the frame
+        std::size_t sender;           // transport-level sender's processor id
+        wire::SignedFrame envelope;   // the delivered frame, shared
     };
 
-    // `sender_count` bounds the sender ids (RunContext::find_index).
-    VerifyQueue(std::size_t batch_limit, std::size_t sender_count)
-        : limit_(batch_limit == 0 ? 1 : batch_limit), queued_(sender_count, 0) {}
+    // `signers[id]` is the identity of sender id (RunContext::processor_names)
+    // and must outlive the queue.
+    VerifyQueue(std::size_t batch_limit, std::span<const std::string> signers)
+        : limit_(batch_limit == 0 ? 1 : batch_limit),
+          signers_(signers),
+          queued_(signers.size(), 0) {}
 
     [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
     [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
@@ -56,18 +66,17 @@ class VerifyQueue {
         if (!has_sender(sender)) return false;
         for (const auto& item : items_) {
             if (item.sender != sender) continue;
-            const auto& held = item.envelope.payload;
-            if (held.size() != payload.size() ||
-                !std::equal(held.begin(), held.end(), payload.begin())) {
-                return true;
-            }
+            if (!std::ranges::equal(item.envelope.view().payload, payload)) return true;
         }
         return false;
     }
 
-    // Queues `envelope`. Returns true when it is the sender's only queued
+    // Queues `envelope`, whose signer must be signers[sender] (the cores
+    // drop any envelope not signed by its transport-level sender before
+    // queueing it). Returns true when it is the sender's only queued
     // envelope, i.e. the queue newly covers that sender.
-    bool push(std::size_t sender, crypto::SignedMessage envelope) {
+    bool push(std::size_t sender, wire::SignedFrame envelope) {
+        assert(envelope.view().signer == signers_[sender]);
         items_.push_back({sender, std::move(envelope)});
         return queued_[sender]++ == 0;
     }
@@ -82,10 +91,10 @@ class VerifyQueue {
         std::vector<Item> batch;
         batch.swap(items_);
         for (const auto& item : batch) queued_[item.sender] = 0;
-        std::vector<crypto::Pki::VerifyRequest> requests(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            requests[i] = {&batch[i].envelope.signer, batch[i].envelope.payload,
-                           batch[i].envelope.signature};
+        std::vector<crypto::Pki::VerifyRequest> requests;
+        requests.reserve(batch.size());
+        for (const auto& item : batch) {
+            requests.push_back(item.envelope.verify_request(signers_[item.sender]));
         }
         // vector<bool> has no data(); byte-backed verdicts instead.
         std::vector<std::uint8_t> verdicts(batch.size());
@@ -98,6 +107,7 @@ class VerifyQueue {
 
  private:
     std::size_t limit_;
+    std::span<const std::string> signers_;
     std::vector<Item> items_;
     std::vector<std::uint32_t> queued_;  // envelopes queued per sender id
 };

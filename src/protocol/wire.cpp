@@ -32,6 +32,12 @@ std::optional<SignedMessageView> SignedMessageView::parse(
     return view;
 }
 
+std::optional<SignedFrame> SignedFrame::parse(util::Frame frame) {
+    const auto view = SignedMessageView::parse(frame.bytes());
+    if (!view) return std::nullopt;
+    return SignedFrame(std::move(frame), *view);
+}
+
 crypto::SignedMessage SignedMessageView::to_owned() const {
     crypto::SignedMessage msg;
     msg.signer.assign(signer);

@@ -24,11 +24,13 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 
 #include "crypto/pki.hpp"
 #include "protocol/blocks.hpp"
 #include "protocol/messages.hpp"
 #include "util/bytes.hpp"
+#include "util/frame.hpp"
 
 namespace dlsbl::protocol::wire {
 
@@ -193,6 +195,31 @@ void encode(const crypto::SignedMessage& msg, FlatWriter& w) noexcept;
 [[nodiscard]] util::Bytes flat_signed(std::string_view signer,
                                       std::span<const std::uint8_t> payload,
                                       std::span<const std::uint8_t> signature);
+
+// A signed envelope kept by reference to the frame it arrived in: the
+// view parses that frame's own bytes, and holding the frame keeps them
+// alive and unchanged. The only way to build one is parse(), so the view
+// and the frame cannot come apart. Copies share the frame.
+class SignedFrame {
+ public:
+    static std::optional<SignedFrame> parse(util::Frame frame);
+
+    [[nodiscard]] const util::Frame& frame() const noexcept { return frame_; }
+    [[nodiscard]] const SignedMessageView& view() const noexcept { return view_; }
+    // The Pki request for this envelope, signed by `signer` (which must equal
+    // view().signer and outlive the request), with the frame's key slot.
+    [[nodiscard]] crypto::Pki::VerifyRequest verify_request(
+        const crypto::Identity& signer) const noexcept {
+        return {&signer, view_.payload, view_.signature, frame_.key_slot()};
+    }
+
+ private:
+    SignedFrame(util::Frame frame, const SignedMessageView& view) noexcept
+        : frame_(std::move(frame)), view_(view) {}
+
+    util::Frame frame_;
+    SignedMessageView view_;
+};
 
 struct BidView {
     std::uint64_t job_id = 0;

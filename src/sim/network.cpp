@@ -1,5 +1,6 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dlsbl::sim {
@@ -15,19 +16,14 @@ Network::Network(Simulator& simulator, double unit_comm_time, double control_lat
     }
 }
 
-double Network::dispatch_control(Envelope envelope) {
-    const double occupancy = control_occupancy(envelope.payload.size());
-    double deliver_at = simulator_.now() + control_latency_;
-    if (occupancy > 0.0) {
-        // Bandwidth-charged: the message holds the one-port bus like a load
-        // transfer does.
-        const double start = std::max(simulator_.now(), bus_busy_until_);
-        bus_busy_until_ = start + occupancy;
-        deliver_at = bus_busy_until_ + control_latency_;
-    }
-    simulator_.schedule_at(deliver_at,
-                           [this, e = std::move(envelope)]() mutable { deliver(std::move(e)); });
-    return deliver_at;
+double Network::reserve_control(std::size_t bytes) {
+    const double occupancy = control_seconds_per_byte_ * static_cast<double>(bytes);
+    if (occupancy <= 0.0) return simulator_.now() + control_latency_;
+    // Bandwidth-charged: the message holds the one-port bus like a load
+    // transfer does.
+    const double start = std::max(simulator_.now(), bus_busy_until_);
+    bus_busy_until_ = start + occupancy;
+    return bus_busy_until_ + control_latency_;
 }
 
 void Network::attach(Process& process) {
@@ -42,6 +38,14 @@ bool Network::has_process(const std::string& name) const {
     return processes_.contains(name);
 }
 
+Process& Network::recipient(const std::string& name) const {
+    const auto it = processes_.find(name);
+    if (it == processes_.end()) {
+        throw std::logic_error("Network: unknown recipient: " + name);
+    }
+    return *it->second;
+}
+
 void Network::start() {
     for (auto& [name, process] : processes_) {
         Process* p = process;
@@ -49,11 +53,7 @@ void Network::start() {
     }
 }
 
-void Network::deliver(Envelope envelope, bool redelivery) {
-    const auto it = processes_.find(envelope.to);
-    if (it == processes_.end()) {
-        throw std::logic_error("Network: message to unknown process: " + envelope.to);
-    }
+void Network::deliver(Process& recipient, const Envelope& envelope, bool redelivery) {
     if (interceptor_) {
         const DeliveryRuling ruling = interceptor_(envelope, simulator_.now(), redelivery);
         if (ruling.action == DeliveryAction::kDrop) {
@@ -64,8 +64,8 @@ void Network::deliver(Envelope envelope, bool redelivery) {
         if (ruling.action == DeliveryAction::kDelay) {
             trace_.record(simulator_.now(), TraceKind::kChurn, envelope.to, ruling.note,
                           envelope.span_id);
-            simulator_.schedule_after(ruling.delay, [this, e = std::move(envelope)]() mutable {
-                deliver(std::move(e), true);
+            simulator_.schedule_after(ruling.delay, [this, &recipient, e = envelope] {
+                deliver(recipient, e, true);
             });
             return;
         }
@@ -73,52 +73,53 @@ void Network::deliver(Envelope envelope, bool redelivery) {
     trace_.record(simulator_.now(), TraceKind::kMessageDelivered, envelope.to,
                   "from=" + envelope.from + " type=" + std::to_string(envelope.type),
                   envelope.span_id);
-    it->second->on_message(envelope);
+    recipient.on_message(envelope);
 }
 
 void Network::send(const std::string& from, const std::string& to, std::uint32_t type,
-                   util::Bytes payload, std::uint64_t span_id) {
-    if (!processes_.contains(to)) {
-        throw std::logic_error("Network: unknown recipient: " + to);
-    }
-    metrics_.count_control(payload.size());
+                   util::Frame frame, std::uint64_t span_id) {
+    Process& target = recipient(to);
+    metrics_.count_control(frame.size());
     trace_.record(simulator_.now(), TraceKind::kMessageSent, from,
                   "to=" + to + " type=" + std::to_string(type) +
-                      " bytes=" + std::to_string(payload.size()),
+                      " bytes=" + std::to_string(frame.size()),
                   span_id);
-    Envelope envelope{from, to, type, std::move(payload), simulator_.now(), span_id};
-    dispatch_control(std::move(envelope));
+    const double deliver_at = reserve_control(frame.size());
+    simulator_.schedule_at(deliver_at, [this, &target,
+                                        e = Envelope{from, to, type, std::move(frame),
+                                                     simulator_.now(), span_id}] {
+        deliver(target, e);
+    });
 }
 
-void Network::broadcast(const std::string& from, std::uint32_t type, util::Bytes payload,
+void Network::broadcast(const std::string& from, std::uint32_t type, util::Frame frame,
                         std::uint64_t span_id) {
-    metrics_.count_control(payload.size());
+    metrics_.count_control(frame.size());
     trace_.record(simulator_.now(), TraceKind::kMessageSent, from,
                   "to=* type=" + std::to_string(type) +
-                      " bytes=" + std::to_string(payload.size()),
+                      " bytes=" + std::to_string(frame.size()),
                   span_id);
     // Atomic broadcast: one bus transmission, simultaneous delivery to all.
-    const double occupancy = control_occupancy(payload.size());
-    double deliver_at = simulator_.now() + control_latency_;
-    if (occupancy > 0.0) {
-        const double start = std::max(simulator_.now(), bus_busy_until_);
-        bus_busy_until_ = start + occupancy;
-        deliver_at = bus_busy_until_ + control_latency_;
-    }
-    for (const auto& [name, process] : processes_) {
-        if (name == from) continue;
-        Envelope envelope{from, name, type, payload, simulator_.now(), span_id};
-        simulator_.schedule_at(
-            deliver_at, [this, e = std::move(envelope)]() mutable { deliver(std::move(e)); });
-    }
+    const double deliver_at = reserve_control(frame.size());
+    const std::size_t recipients = processes_.size() - (processes_.contains(from) ? 1 : 0);
+    // One envelope for the whole fan-out, readdressed to each recipient in
+    // turn; `next` walks the processes in name order, skipping the sender.
+    simulator_.schedule_fanout_at(
+        deliver_at, recipients,
+        [this, next = processes_.begin(),
+         e = Envelope{from, {}, type, std::move(frame), simulator_.now(), span_id}]() mutable {
+            if (next->first == e.from) ++next;
+            e.to = next->first;
+            Process& target = *next->second;
+            ++next;
+            deliver(target, e);
+        });
 }
 
 void Network::transfer_load(const std::string& from, const std::string& to, double units,
-                            std::uint32_t type, util::Bytes payload,
+                            std::uint32_t type, util::Frame frame,
                             std::uint64_t span_id) {
-    if (!processes_.contains(to)) {
-        throw std::logic_error("Network: unknown recipient: " + to);
-    }
+    Process& target = recipient(to);
     if (units < 0.0) throw std::invalid_argument("Network: negative load transfer");
     const double start = std::max(simulator_.now(), bus_busy_until_);
     const double end = start + units * z_;
@@ -126,13 +127,12 @@ void Network::transfer_load(const std::string& from, const std::string& to, doub
     metrics_.count_load_transfer(units);
     trace_.record(start, TraceKind::kLoadTransferStart, from,
                   "to=" + to + " units=" + std::to_string(units), span_id);
-    Envelope envelope{from, to, type, std::move(payload), simulator_.now(), span_id};
-    simulator_.schedule_at(end, [this, to_name = to, from_name = from, units,
-                                 e = std::move(envelope)]() mutable {
-        trace_.record(simulator_.now(), TraceKind::kLoadTransferEnd, from_name,
-                      "to=" + to_name + " units=" + std::to_string(units),
-                      e.span_id);
-        deliver(std::move(e));
+    simulator_.schedule_at(end, [this, &target, units,
+                                 e = Envelope{from, to, type, std::move(frame),
+                                              simulator_.now(), span_id}] {
+        trace_.record(simulator_.now(), TraceKind::kLoadTransferEnd, e.from,
+                      "to=" + e.to + " units=" + std::to_string(units), e.span_id);
+        deliver(target, e);
     });
 }
 

@@ -10,7 +10,9 @@
 //     a transfer of α units takes α·z bus seconds and transfers queue FIFO.
 //
 // The network is protocol-agnostic: payloads are opaque bytes and message
-// types are small integers owned by the protocol layer.
+// types are small integers owned by the protocol layer. Every message
+// travels as one immutable util::Frame: a broadcast's recipients all
+// receive the same frame, never a copy of its bytes.
 #pragma once
 
 #include <cstdint>
@@ -21,15 +23,15 @@
 #include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
-#include "util/bytes.hpp"
+#include "util/frame.hpp"
 
 namespace dlsbl::sim {
 
 struct Envelope {
     std::string from;
-    std::string to;            // empty for broadcast
+    std::string to;            // the recipient (each one in turn for a broadcast)
     std::uint32_t type = 0;    // protocol-defined discriminator
-    util::Bytes payload;
+    util::Frame frame;         // shared by every recipient of one send
     double sent_at = 0.0;
     // Causal span of the send (0 = untracked). Receivers parent their own
     // spans/events on it, which is what links cross-processor causality in
@@ -76,17 +78,20 @@ class Network {
     // `span_id` (optional) stamps the send's causal span onto the trace
     // records and the delivered envelope.
     void send(const std::string& from, const std::string& to, std::uint32_t type,
-              util::Bytes payload, std::uint64_t span_id = 0);
+              util::Frame frame, std::uint64_t span_id = 0);
 
     // Atomic reliable broadcast: every process except the sender receives
-    // the identical payload. Counted once (one bus transmission).
-    void broadcast(const std::string& from, std::uint32_t type, util::Bytes payload,
+    // the one frame. Counted once (one bus transmission) and scheduled as
+    // one fan-out: the recipients are served in name order, one event
+    // each, exactly where one event per recipient would have fired. A
+    // delivery interceptor still rules on each recipient separately.
+    void broadcast(const std::string& from, std::uint32_t type, util::Frame frame,
                    std::uint64_t span_id = 0);
 
     // A load transfer of `units` load: waits for the bus, holds it for
-    // units * z, then delivers the payload (the block batch) to `to`.
+    // units * z, then delivers the frame (the block batch) to `to`.
     void transfer_load(const std::string& from, const std::string& to, double units,
-                       std::uint32_t type, util::Bytes payload,
+                       std::uint32_t type, util::Frame frame,
                        std::uint64_t span_id = 0);
 
     // Simulated time at which the bus next becomes free.
@@ -115,15 +120,13 @@ class Network {
     }
 
  private:
-    void deliver(Envelope envelope, bool redelivery = false);
-    // Time the bus is held for a control message of `bytes` (0 when the
-    // bandwidth model is off).
-    [[nodiscard]] double control_occupancy(std::size_t bytes) const noexcept {
-        return control_seconds_per_byte_ * static_cast<double>(bytes);
-    }
-    // Schedules delivery honoring bandwidth occupancy + latency; returns
-    // the delivery time.
-    double dispatch_control(Envelope envelope);
+    // Hands `envelope` (addressed to `recipient`) to the interceptor, then
+    // to the recipient.
+    void deliver(Process& recipient, const Envelope& envelope, bool redelivery = false);
+    [[nodiscard]] Process& recipient(const std::string& name) const;
+    // Holds the bus for a control message of `bytes` when the bandwidth
+    // model is on; returns the delivery time.
+    double reserve_control(std::size_t bytes);
 
     Simulator& simulator_;
     double z_;

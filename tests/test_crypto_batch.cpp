@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "crypto/batch_verify.hpp"
@@ -22,6 +23,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/wots.hpp"
 #include "util/bytes.hpp"
+#include "util/frame.hpp"
 #include "util/rng.hpp"
 
 namespace dlsbl::crypto {
@@ -360,6 +362,123 @@ TEST(CryptoBatch, PkiVerifyManyMatchesSequentialVerifyAndStats) {
     EXPECT_EQ(batch_verdicts, eager_verdicts);
     EXPECT_EQ(batch_hits, eager_hits);
     EXPECT_EQ(batch_misses, eager_misses);
+}
+
+// Per-frame key slots are a pure memo: verify_many with them must replay
+// verify_many without them — verdicts, hit/miss statistics and cache
+// contents — whether the slots start empty or already hold their keys, at
+// every cache capacity (0 disables the cache, 3 flushes it mid-batch).
+// Each request views the bytes of its own frame, as a delivered envelope
+// does.
+TEST(CryptoBatch, PkiKeySlotsReplayTheUnslottedPath) {
+    struct Request {
+        std::string signer;
+        util::Frame frame;  // payload || signature
+        std::size_t payload_size = 0;
+    };
+    const auto make_frame = [](std::span<const std::uint8_t> payload,
+                               std::span<const std::uint8_t> signature) {
+        util::Bytes bytes(payload.begin(), payload.end());
+        bytes.insert(bytes.end(), signature.begin(), signature.end());
+        return util::Frame(std::move(bytes));
+    };
+    const auto build = [&](Pki& pki) {
+        auto wots = make_registered_signer(pki, "P1", 42, SignatureAlgorithm::kMerkleWots, 3);
+        auto fast = make_registered_signer(pki, "P3", 44, SignatureAlgorithm::kFast);
+        std::vector<Request> out;
+        const auto add = [&](const std::string& who, Signer& signer, const std::string& text,
+                             bool tamper) {
+            const util::Bytes payload = util::to_bytes(text);
+            util::Bytes signature = signer.sign(payload);
+            if (tamper) signature[0] ^= 0x01;
+            out.push_back({who, make_frame(payload, signature), payload.size()});
+        };
+        add("P1", *wots, "alpha", false);
+        add("P3", *fast, "gamma", false);
+        add("P1", *wots, "delta", true);  // tampered
+        add("P9", *fast, "zeta", false);  // unregistered signer
+        add("P3", *fast, "eta", false);
+        out.push_back(out[0]);            // the same frame delivered again
+        // Relays of frame 0 in frames of their own: one with its bytes
+        // intact, one with a payload byte changed.
+        const auto bytes0 = out[0].frame.bytes();
+        out.push_back({"P1", util::Frame(util::Bytes(bytes0.begin(), bytes0.end())),
+                       out[0].payload_size});
+        util::Bytes altered(bytes0.begin(), bytes0.end());
+        altered[0] ^= 0x20;
+        out.push_back({"P1", util::Frame(std::move(altered)), out[0].payload_size});
+        return std::tuple(std::move(wots), std::move(fast), std::move(out));
+    };
+    const auto requests_of = [](const std::vector<Request>& in, bool slots) {
+        std::vector<Pki::VerifyRequest> out;
+        for (const auto& r : in) {
+            const auto bytes = r.frame.bytes();
+            out.push_back({&r.signer, bytes.first(r.payload_size),
+                           bytes.subspan(r.payload_size),
+                           slots ? r.frame.key_slot() : nullptr});
+        }
+        return out;
+    };
+    struct Observed {
+        std::vector<std::vector<bool>> verdicts;  // per round
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> stats;  // after each round
+        std::vector<bool> probe_hits;  // cache contents, probed after the rounds
+        bool operator==(const Observed&) const = default;
+    };
+    // Two rounds over the same requests, then one sequential verify() per
+    // request: a hit means its key was in the cache.
+    const auto observe = [&](Pki& pki, const std::vector<Request>& in, bool slots) {
+        Observed seen;
+        const auto requests = requests_of(in, slots);
+        for (int round = 0; round < 2; ++round) {
+            std::vector<std::uint8_t> verdicts(requests.size(), 0xCD);
+            static_assert(sizeof(bool) == 1);
+            pki.verify_many(requests, reinterpret_cast<bool*>(verdicts.data()));
+            seen.verdicts.emplace_back(verdicts.begin(), verdicts.end());
+            const auto stats = pki.verify_cache_stats();
+            seen.stats.emplace_back(stats.hits, stats.misses);
+        }
+        for (const auto& r : requests) {
+            const auto before = pki.verify_cache_stats().hits;
+            (void)pki.verify(*r.signer, r.message, r.signature);
+            seen.probe_hits.push_back(pki.verify_cache_stats().hits > before);
+        }
+        return seen;
+    };
+
+    for (const std::size_t capacity : {std::size_t{0}, std::size_t{3}, std::size_t{8192}}) {
+        SCOPED_TRACE(capacity);
+        Pki plain_pki;
+        plain_pki.set_verify_cache_capacity(capacity);
+        const auto plain = build(plain_pki);
+        const Observed expected = observe(plain_pki, std::get<2>(plain), false);
+        EXPECT_EQ(expected.verdicts[0], (std::vector<bool>{true, true, false, false, true,
+                                                           true, true, false}));
+
+        // Slots that start empty, then (second round) hold their keys.
+        Pki slot_pki;
+        slot_pki.set_verify_cache_capacity(capacity);
+        const auto slotted = build(slot_pki);
+        const auto& frames = std::get<2>(slotted);
+        for (const auto& r : frames) EXPECT_FALSE(r.frame.key_slot()->filled());
+        EXPECT_EQ(observe(slot_pki, frames, true), expected);
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            // Filled on first use: every registered request's slot once the
+            // cache is on; the unregistered signer's never.
+            EXPECT_EQ(frames[i].frame.key_slot()->filled(), capacity > 0 && i != 3) << i;
+        }
+        // A relay in a frame of its own has its own slot, equal bytes or not.
+        EXPECT_NE(frames[6].frame.key_slot(), frames[0].frame.key_slot());
+        EXPECT_NE(frames[7].frame.key_slot(), frames[0].frame.key_slot());
+        EXPECT_EQ(frames[5].frame.key_slot(), frames[0].frame.key_slot());
+
+        // Slots already filled from the start, against a fresh cache
+        // holding the same identities and keys.
+        Pki filled_pki;
+        filled_pki.set_verify_cache_capacity(capacity);
+        build(filled_pki);
+        EXPECT_EQ(observe(filled_pki, frames, true), expected);
+    }
 }
 
 // The ragged 16-stream batch hasher must equal Sha256::hash per stream for

@@ -37,7 +37,7 @@ WireMessage meter_broadcast(const RunContext& context, const std::string& to) {
     message.from = context.referee_name();
     message.to = to;
     message.type = to_wire(MsgType::kMeterBroadcast);
-    message.payload = wire::flat_encode(body);
+    message.frame = wire::flat_encode(body);
     return message;
 }
 

@@ -203,7 +203,8 @@ class RelayingPeer final : public Endpoint {
     void on_message(const WireMessage& message) override {
         core_.on_message(message);
         if (message.type == to_wire(MsgType::kLoadDelivery)) {
-            ctx_.transport().unicast(name(), target_, message.type, message.payload);
+            // The delivered frame itself, not a copy of its bytes.
+            ctx_.transport().unicast(name(), target_, message.type, message.frame);
         }
     }
 

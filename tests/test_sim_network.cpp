@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
+#include <string>
 #include <vector>
 
 namespace dlsbl::sim {
@@ -18,6 +20,11 @@ class Recorder final : public Process {
     bool started = false;
     std::vector<Envelope> inbox;
 };
+
+util::Bytes bytes_of(const Envelope& envelope) {
+    const auto bytes = envelope.frame.bytes();
+    return util::Bytes(bytes.begin(), bytes.end());
+}
 
 struct Fixture {
     Simulator sim;
@@ -47,7 +54,7 @@ TEST(Network, UnicastDeliversToRecipientOnly) {
     ASSERT_EQ(f.b.inbox.size(), 1u);
     EXPECT_EQ(f.b.inbox[0].from, "A");
     EXPECT_EQ(f.b.inbox[0].type, 7u);
-    EXPECT_EQ(f.b.inbox[0].payload, util::to_bytes("hello"));
+    EXPECT_EQ(bytes_of(f.b.inbox[0]), util::to_bytes("hello"));
     EXPECT_TRUE(f.a.inbox.empty());
     EXPECT_TRUE(f.c.inbox.empty());
 }
@@ -59,7 +66,81 @@ TEST(Network, BroadcastReachesAllButSender) {
     EXPECT_TRUE(f.a.inbox.empty());
     ASSERT_EQ(f.b.inbox.size(), 1u);
     ASSERT_EQ(f.c.inbox.size(), 1u);
-    EXPECT_EQ(f.b.inbox[0].payload, f.c.inbox[0].payload);  // atomic: same bytes
+    EXPECT_EQ(bytes_of(f.b.inbox[0]), util::to_bytes("bid"));
+    // Atomic: one shared frame, not merely equal bytes.
+    EXPECT_EQ(f.b.inbox[0].frame.bytes().data(), f.c.inbox[0].frame.bytes().data());
+}
+
+// Equal-time order across fan-outs: two broadcasts at one timestamp with a
+// unicast scheduled between them, a zero-delay timer and a reply scheduled
+// from inside a delivery, and an interceptor that drops one recipient and
+// delays another. Deliveries fire in scheduling order, recipient by
+// recipient in name order, and everything scheduled from inside a delivery
+// waits for every delivery scheduled before it.
+TEST(Network, EqualTimeOrderAcrossFanOuts) {
+    Simulator sim;
+    Network net(sim, 0.5);
+    std::vector<std::string> log;
+    class Logger final : public Process {
+     public:
+        Logger(std::string name, std::vector<std::string>& log, Simulator& sim, Network& net)
+            : Process(std::move(name)), log_(log), sim_(sim), net_(net) {}
+        void on_message(const Envelope& envelope) override {
+            log_.push_back(name() + "<-" + envelope.from + ":" + std::to_string(envelope.type));
+            if (name() == "B" && envelope.type == 1) {
+                sim_.schedule_after(0.0, [this] { log_.push_back("B:timer"); });
+                net_.send("B", "A", 7, util::to_bytes("re"));
+            }
+        }
+
+     private:
+        std::vector<std::string>& log_;
+        Simulator& sim_;
+        Network& net_;
+    };
+    Logger a{"A", log, sim, net}, b{"B", log, sim, net}, c{"C", log, sim, net},
+        d{"D", log, sim, net};
+    for (Process* p : std::initializer_list<Process*>{&d, &b, &a, &c}) net.attach(*p);
+    net.set_delivery_interceptor(
+        [](const Envelope& envelope, double, bool redelivery) -> Network::DeliveryRuling {
+            if (envelope.type == 1 && envelope.to == "C") {
+                return {Network::DeliveryAction::kDrop, 0.0, "cut"};
+            }
+            if (envelope.type == 2 && envelope.to == "D" && !redelivery) {
+                return {Network::DeliveryAction::kDelay, 0.25, "late"};
+            }
+            return {};
+        });
+
+    net.broadcast("A", 1, util::to_bytes("one"));
+    net.send("B", "C", 5, util::to_bytes("five"));
+    net.broadcast("B", 2, util::to_bytes("two"));
+    sim.run();
+
+    EXPECT_EQ(log, (std::vector<std::string>{"B<-A:1", "D<-A:1", "C<-B:5", "A<-B:2",
+                                             "C<-B:2", "B:timer", "A<-B:7", "D<-B:2"}));
+    // Ten deliveries fired, the cut and the delayed attempt included.
+    EXPECT_EQ(sim.events_fired(), 10u);
+    std::vector<std::string> records;
+    for (const auto& event : net.trace().events()) {
+        records.push_back(std::to_string(event.time) + " " + to_string(event.kind) + " " +
+                          event.actor + " " + event.detail);
+    }
+    EXPECT_EQ(records, (std::vector<std::string>{
+                           "0.000000 msg-sent A to=* type=1 bytes=3",
+                           "0.000000 msg-sent B to=C type=5 bytes=4",
+                           "0.000000 msg-sent B to=* type=2 bytes=3",
+                           "0.000000 msg-delivered B from=A type=1",
+                           "0.000000 msg-sent B to=A type=7 bytes=2",
+                           "0.000000 churn C cut",
+                           "0.000000 msg-delivered D from=A type=1",
+                           "0.000000 msg-delivered C from=B type=5",
+                           "0.000000 msg-delivered A from=B type=2",
+                           "0.000000 msg-delivered C from=B type=2",
+                           "0.000000 churn D late",
+                           "0.000000 msg-delivered A from=B type=7",
+                           "0.250000 msg-delivered D from=B type=2",
+                       }));
 }
 
 TEST(Network, BroadcastCountedOnce) {

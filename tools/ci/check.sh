@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # tools/ci/check.sh — the one-command verification entry point:
 #
-#   configure -> build -> ctest (tier-1) -> dlsbl_lint -> clang-tidy* -> cppcheck*
-#                                                          (*when on PATH)
+#   configure -> build -> ctest (tier-1) -> perfbench selftest -> dlsbl_lint
+#             -> clang-tidy* -> cppcheck*                   (*when on PATH)
 #
 # Static and dynamic analysis share this entry point: set DLSBL_SANITIZE to
 # route the build through a sanitizer matrix instead of the default build,
@@ -21,9 +21,10 @@
 #   CLANG_TIDY=0     skip clang-tidy even if installed
 #   CPPCHECK=0       skip cppcheck even if installed
 #
-# Exit: non-zero if configure, build, ctest, or dlsbl_lint fail. clang-tidy
-# and cppcheck results are reported but advisory (their availability varies
-# across machines; the gating analyses are compiled into the tree).
+# Exit: non-zero if configure, build, ctest, the perfbench selftest, or
+# dlsbl_lint fail. clang-tidy and cppcheck results are reported but
+# advisory (their availability varies across machines; the gating analyses
+# are compiled into the tree).
 set -euo pipefail
 
 cd "$(dirname "$0")/../.."
@@ -69,6 +70,14 @@ step "codec fuzz (flat wire smoke)"
 # wire-format break is legible in CI logs on its own line.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '(FuzzFlatCodec|asan\..*FuzzFlatCodec|MerkleMultiproof|asan\..*MerkleMultiproof)'
+
+step "perfbench selftest (benchmark build gate)"
+# perfbench (perfbench/CMakeLists.txt) compiles src/ straight into its own
+# binary against the library's APIs, and ctest never builds it, so an API
+# break it depends on would otherwise show only when the benchmark pipeline
+# runs. The selftest builds it under .bench_build/ and runs every workload
+# at its smoke size, twice per trace mode, checking oracle and digests.
+python3 perfbench/run.py --selftest
 
 step "bench-regress (perf gate)"
 # The full ctest above already ran the bench-smoke suites (writing fresh
