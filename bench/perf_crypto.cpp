@@ -173,22 +173,30 @@ void BM_WotsVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_WotsVerify);
 
-// Backend × job-count grid at height 4 (16 Lamport leaves, the protocol's
-// default key size). scalar_j1 is the pre-overhaul baseline.
+// Backend × job-count grid at height 4 (16 leaves, the protocol's default
+// key size). The Lamport rows' scalar_j1 is the pre-overhaul baseline; the
+// wots_ rows are the scheme perfbench and protocol_overhead run, whose 16
+// leaves are one batched keygen pass on the 16-lane engine (scalar pins
+// that engine to its lanes fallback).
 void BM_MssKeygen(benchmark::State& state, const std::string& backend,
-                  std::size_t jobs) {
+                  std::size_t jobs, crypto::OtsScheme scheme) {
     BackendPin pin(state, backend);
     if (!pin) return;
     const crypto::Digest seed = crypto::Sha256::hash("mss-bench");
     const auto height = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        crypto::MssKeyPair key(seed, height, crypto::OtsScheme::kLamport, jobs);
+        crypto::MssKeyPair key(seed, height, scheme, jobs);
         benchmark::DoNotOptimize(key.public_key());
     }
 }
-BENCHMARK_CAPTURE(BM_MssKeygen, scalar_j1, "scalar", 1)->Arg(4);
-BENCHMARK_CAPTURE(BM_MssKeygen, auto_j1, "auto", 1)->Arg(4);
-BENCHMARK_CAPTURE(BM_MssKeygen, auto_j4, "auto", 4)->Arg(4);
+BENCHMARK_CAPTURE(BM_MssKeygen, scalar_j1, "scalar", 1, crypto::OtsScheme::kLamport)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_MssKeygen, auto_j1, "auto", 1, crypto::OtsScheme::kLamport)->Arg(4);
+BENCHMARK_CAPTURE(BM_MssKeygen, auto_j4, "auto", 4, crypto::OtsScheme::kLamport)->Arg(4);
+BENCHMARK_CAPTURE(BM_MssKeygen, wots_scalar_j1, "scalar", 1, crypto::OtsScheme::kWots)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_MssKeygen, wots_auto_j1, "auto", 1, crypto::OtsScheme::kWots)
+    ->Arg(4);
 
 void BM_MssSignVerify(benchmark::State& state) {
     const util::Bytes message = util::to_bytes("payment vector");
@@ -342,6 +350,8 @@ int main(int argc, char** argv) {
         bench::speedup(reporter, "BM_MssKeygen/scalar_j1/4", "BM_MssKeygen/auto_j1/4");
     derived["mss_keygen_speedup_auto_j4"] =
         bench::speedup(reporter, "BM_MssKeygen/scalar_j1/4", "BM_MssKeygen/auto_j4/4");
+    derived["mss_wots_keygen_speedup_auto_j1"] = bench::speedup(
+        reporter, "BM_MssKeygen/wots_scalar_j1/4", "BM_MssKeygen/wots_auto_j1/4");
     derived["pki_verify_cache_speedup"] =
         bench::speedup(reporter, "BM_PkiVerifyCached/off", "BM_PkiVerifyCached/on");
     derived["batch_verify_speedup_32"] = bench::speedup(

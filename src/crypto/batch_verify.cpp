@@ -17,19 +17,8 @@ namespace {
 
 using detail::kSoaLanes;
 using detail::kSoaWords;
-
-inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-    return (static_cast<std::uint32_t>(p[0]) << 24) |
-           (static_cast<std::uint32_t>(p[1]) << 16) |
-           (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
-}
-
-inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-    p[0] = static_cast<std::uint8_t>(v >> 24);
-    p[1] = static_cast<std::uint8_t>(v >> 16);
-    p[2] = static_cast<std::uint8_t>(v >> 8);
-    p[3] = static_cast<std::uint8_t>(v);
-}
+using detail::soa_load_lane;
+using detail::soa_store_lane;
 
 // ---------------------------------------------------------------------------
 // Chain scheduler: advance many independent hash chains d <- H(d) with
@@ -40,20 +29,6 @@ struct ChainJob {
     std::uint8_t* dst = nullptr;        // 32-byte destination
     std::uint8_t steps = 0;
 };
-
-inline void soa_load_lane(std::uint32_t* soa, std::size_t lane,
-                          const std::uint8_t* digest) noexcept {
-    for (std::size_t w = 0; w < 8; ++w) {
-        soa[kSoaLanes * w + lane] = load_be32(digest + 4 * w);
-    }
-}
-
-inline void soa_store_lane(const std::uint32_t* soa, std::size_t lane,
-                           std::uint8_t* digest) noexcept {
-    for (std::size_t w = 0; w < 8; ++w) {
-        store_be32(digest + 4 * w, soa[kSoaLanes * w + lane]);
-    }
-}
 
 // Two phases keep lane density near 100% regardless of the step
 // distribution:

@@ -52,7 +52,7 @@ namespace detail {
 // Batch one-shot SHA-256 over `n` independent contiguous byte streams:
 // out[i] = H(data[i][0..len[i])). Streams of mixed lengths are hashed 16
 // at a time through the SoA engine; bit-identical to Sha256::hash per
-// stream.
+// stream. WOTS keygen hashes its chain-end streams through it too.
 void sha256_streams(const std::uint8_t* const* data, const std::size_t* len,
                     std::size_t n, Digest* out);
 

@@ -1,6 +1,7 @@
 #include "crypto/mss.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "crypto/hmac.hpp"
@@ -63,38 +64,22 @@ Digest leaf_seed_prf(const HmacSha256& prf, OtsScheme scheme, std::size_t index)
     return prf.mac(std::span<const std::uint8_t>(msg, sizeof(msg)));
 }
 
-std::size_t resolve_keygen_jobs(std::size_t keygen_jobs) {
-    if (keygen_jobs != 0) return keygen_jobs;
-    // Keygen-parallelism knob; keys are byte-identical at any job count
-    // (test_crypto_batch MSS identity). DLSBL_LINT_ALLOW(determinism)
-    if (const char* env = std::getenv("DLSBL_CRYPTO_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0) return static_cast<std::size_t>(parsed);
-    }
-    return 1;
-}
-
 }  // namespace
-
-Digest MssKeyPair::leaf_seed(std::size_t index) const {
-    return leaf_seed_prf(
-        HmacSha256(std::span<const std::uint8_t>(seed_.data(), seed_.size())), scheme_,
-        index);
-}
 
 MssKeyPair::MssKeyPair(const Digest& seed, unsigned height, OtsScheme scheme,
                        std::size_t keygen_jobs)
-    : seed_(seed), scheme_(scheme) {
+    : scheme_(scheme) {
     OBS_SCOPE("mss_keygen");
     if (height > 16) throw std::invalid_argument("MssKeyPair: height too large");
     leaf_count_ = std::size_t{1} << height;
-    const std::size_t jobs = resolve_keygen_jobs(keygen_jobs);
-    const HmacSha256 prf(std::span<const std::uint8_t>(seed_.data(), seed_.size()));
+    const HmacSha256 prf(std::span<const std::uint8_t>(seed.data(), seed.size()));
 
-    // Leaves are mutually independent and RunExecutor::map returns them in
+    // Tasks are mutually independent and RunExecutor::map returns them in
     // submission order, so the key material is byte-identical at any job
-    // count; jobs=1 runs inline with no threads spawned.
-    exec::RunExecutor pool({.jobs = jobs, .root_seed = 0, .capture_events = true});
+    // count; one worker runs inline with no threads spawned.
+    exec::RunExecutor pool({.jobs = std::max<std::size_t>(keygen_jobs, 1),
+                            .root_seed = 0,
+                            .capture_events = true});
     std::vector<Digest> leaf_digests;
     leaf_digests.reserve(leaf_count_);
     if (scheme_ == OtsScheme::kLamport) {
@@ -103,9 +88,22 @@ MssKeyPair::MssKeyPair(const Digest& seed, unsigned height, OtsScheme scheme,
         });
         for (const auto& key : lamport_keys_) leaf_digests.push_back(key.public_key());
     } else {
-        wots_keys_ = pool.map(leaf_count_, [&](exec::RunSlot& slot) {
-            return WotsKeyPair(leaf_seed_prf(prf, scheme_, slot.index()));
-        });
+        // One task per batched keygen pass of up to kBatchLeaves leaves.
+        constexpr std::size_t kBatch = WotsKeyPair::kBatchLeaves;
+        const auto batches =
+            pool.map((leaf_count_ + kBatch - 1) / kBatch, [&](exec::RunSlot& slot) {
+                const std::size_t first = kBatch * slot.index();
+                const std::size_t n = std::min(kBatch, leaf_count_ - first);
+                std::array<Digest, kBatch> seeds{};
+                for (std::size_t i = 0; i < n; ++i) {
+                    seeds[i] = leaf_seed_prf(prf, scheme_, first + i);
+                }
+                return WotsKeyPair::generate(std::span<const Digest>(seeds.data(), n));
+            });
+        wots_keys_.reserve(leaf_count_);
+        for (const auto& batch : batches) {
+            wots_keys_.insert(wots_keys_.end(), batch.begin(), batch.end());
+        }
         for (const auto& key : wots_keys_) leaf_digests.push_back(key.public_key());
     }
     tree_ = std::make_unique<MerkleTree>(std::move(leaf_digests));

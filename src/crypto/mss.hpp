@@ -49,11 +49,13 @@ class MssKeyPair {
     // Derives 2^height one-time keys from the seed. Throws std::length_error
     // once all leaves are consumed by sign().
     //
-    // keygen_jobs controls how many worker threads build the one-time
-    // leaves (via exec::RunExecutor; leaves are independent and returned in
+    // keygen_jobs caps the worker threads that build the one-time leaves
+    // (via exec::RunExecutor; leaves are independent and returned in
     // submission order, so keys, signatures, and the Merkle root are
-    // byte-identical at any job count). 1 = inline on the calling thread;
-    // 0 = take the DLSBL_CRYPTO_JOBS environment variable, defaulting to 1.
+    // byte-identical at any job count). 0 and 1 run inline on the calling
+    // thread. Lamport leaves are one task each; WOTS leaves are one task
+    // per batched keygen pass of WotsKeyPair::kBatchLeaves leaves, so
+    // heights up to 4 are a single task and run inline at any job count.
     MssKeyPair(const Digest& seed, unsigned height,
                OtsScheme scheme = OtsScheme::kLamport, std::size_t keygen_jobs = 1);
 
@@ -68,9 +70,6 @@ class MssKeyPair {
                        const MssSignature& signature);
 
  private:
-    [[nodiscard]] Digest leaf_seed(std::size_t index) const;
-
-    Digest seed_{};
     OtsScheme scheme_;
     std::size_t leaf_count_ = 0;
     std::vector<LamportKeyPair> lamport_keys_;

@@ -139,8 +139,8 @@ enum class SignatureAlgorithm {
 
 // Creates a signer for `id`, derived deterministically from `seed`, and
 // registers its verification key with `pki`. keygen_jobs is forwarded to
-// MssKeyPair (ignored by kFast): worker threads for leaf keygen, 1 =
-// inline, 0 = DLSBL_CRYPTO_JOBS env. Keys are identical at any job count.
+// MssKeyPair (ignored by kFast): worker threads for leaf keygen, 0 and 1 =
+// inline. Keys are identical at any job count.
 std::unique_ptr<Signer> make_registered_signer(Pki& pki, const Identity& id,
                                                std::uint64_t seed,
                                                SignatureAlgorithm algorithm,

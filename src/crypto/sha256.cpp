@@ -394,13 +394,6 @@ namespace detail {
 
 namespace {
 
-inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-    p[0] = static_cast<std::uint8_t>(v >> 24);
-    p[1] = static_cast<std::uint8_t>(v >> 16);
-    p[2] = static_cast<std::uint8_t>(v >> 8);
-    p[3] = static_cast<std::uint8_t>(v);
-}
-
 void soa_chain16_lanes(std::uint32_t* digests, std::size_t steps) {
     const Sha256Backend& backend = active_backend();
     alignas(64) std::uint32_t states[kSoaLanes * 8];
@@ -408,9 +401,7 @@ void soa_chain16_lanes(std::uint32_t* digests, std::size_t steps) {
     for (std::size_t s = 0; s < steps; ++s) {
         init_states(states, kSoaLanes);
         for (std::size_t l = 0; l < kSoaLanes; ++l) {
-            for (std::size_t w = 0; w < 8; ++w) {
-                store_be32(blocks + 64 * l + 4 * w, digests[16 * w + l]);
-            }
+            soa_store_lane(digests, l, blocks + 64 * l);
             std::memcpy(blocks + 64 * l + 32, kPad32Tail.data(), 32);
         }
         backend.compress_lanes(states, blocks, kSoaLanes);

@@ -67,8 +67,8 @@ struct ProtocolConfig {
     // to eager verification at any value. <= 1 verifies eagerly.
     std::size_t verify_batch = 16;
     // Worker threads for MSS keygen (one-time leaves are independent; keys
-    // are byte-identical at any job count). 1 = inline; 0 = take the
-    // DLSBL_CRYPTO_JOBS environment variable, defaulting to 1.
+    // are byte-identical at any job count). 0 and 1 run inline; a WOTS key
+    // of height <= 4 is one batched pass and runs inline at any value.
     std::size_t crypto_keygen_jobs = 1;
     std::uint64_t seed = 1;
     // Fault-injection plan (crashes, restarts, loss/delay windows). The

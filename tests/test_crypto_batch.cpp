@@ -1,13 +1,15 @@
 // Byte-identity properties of the batched crypto hot paths.
 //
 // The contract under test: multi-lane hashing, batched chain expansion,
-// HMAC midstates, parallel MSS keygen, and the Pki verification cache are
-// pure throughput changes — every key, signature, digest, and verdict is
-// byte-identical to the scalar single-threaded path.
+// HMAC midstates, batched and parallel MSS keygen, and the Pki verification
+// cache are pure throughput changes — every key, signature, digest, and
+// verdict is byte-identical to the scalar single-threaded path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <tuple>
@@ -216,6 +218,121 @@ TEST(CryptoBatch, MssKeygenIdenticalAcrossJobCounts) {
             } else {
                 EXPECT_EQ(sigs, reference_sigs)
                     << "scheme=" << static_cast<int>(scheme) << " jobs=" << jobs;
+            }
+        }
+    }
+}
+
+// An independent WOTS-MSS reference, built only from the scheme's
+// definitions: HMAC leaf seeds under the master seed, HMAC chain secrets
+// under each leaf seed, one SHA-256 per chain step, the one-time public key
+// as the hash of the concatenated chain ends, and a Merkle tree over those
+// keys. It calls no batch API, so it stays independent of the keygen
+// kernels it checks.
+class WotsMssReference {
+ public:
+    static constexpr std::size_t kChains = 67;
+    static constexpr unsigned kChainLength = 15;
+
+    WotsMssReference(const Digest& seed, unsigned height) {
+        const HmacSha256 master(std::span<const std::uint8_t>(seed.data(), seed.size()));
+        for (std::uint64_t leaf = 0; leaf < (std::uint64_t{1} << height); ++leaf) {
+            util::ByteWriter label;
+            label.str("mss-leaf");
+            label.u8(static_cast<std::uint8_t>(OtsScheme::kWots));
+            label.u64(leaf);
+            leaf_seeds_.push_back(master.mac(label.data()));
+            util::Bytes ends;
+            for (std::size_t c = 0; c < kChains; ++c) {
+                const Digest end = chain(secret(leaf_seeds_.back(), c), kChainLength);
+                ends.insert(ends.end(), end.begin(), end.end());
+            }
+            one_time_keys_.push_back(Sha256::hash(ends));
+        }
+        tree_ = std::make_unique<MerkleTree>(one_time_keys_);
+    }
+
+    [[nodiscard]] const Digest& public_key() const { return tree_->root(); }
+
+    // The serialized MssSignature of `message` under one-time leaf `leaf`.
+    [[nodiscard]] util::Bytes sign(std::size_t leaf, const util::Bytes& message) const {
+        const Digest md = Sha256::hash(message);
+        std::vector<unsigned> digits;
+        unsigned checksum = 0;
+        for (const std::uint8_t byte : md) {
+            for (const unsigned digit : {unsigned{byte} >> 4, unsigned{byte} & 0x0fu}) {
+                digits.push_back(digit);
+                checksum += kChainLength - digit;
+            }
+        }
+        for (const unsigned shift : {8u, 4u, 0u}) digits.push_back((checksum >> shift) & 0x0fu);
+
+        MssSignature sig;
+        sig.scheme = OtsScheme::kWots;
+        sig.leaf_index = leaf;
+        sig.one_time_public_key = one_time_keys_[leaf];
+        for (std::size_t c = 0; c < kChains; ++c) {
+            const Digest value = chain(secret(leaf_seeds_[leaf], c), digits[c]);
+            sig.ots.insert(sig.ots.end(), value.begin(), value.end());
+        }
+        sig.auth_path = tree_->prove(leaf);
+        return sig.serialize();
+    }
+
+ private:
+    static Digest secret(const Digest& leaf_seed, std::size_t c) {
+        util::ByteWriter label;
+        label.str("wots-chain");
+        label.u64(c);
+        return hmac_sha256(std::span<const std::uint8_t>(leaf_seed.data(), leaf_seed.size()),
+                           label.data());
+    }
+
+    static Digest chain(Digest value, unsigned steps) {
+        for (unsigned s = 0; s < steps; ++s) {
+            value = Sha256::hash(std::span<const std::uint8_t>(value.data(), value.size()));
+        }
+        return value;
+    }
+
+    std::vector<Digest> leaf_seeds_;
+    std::vector<Digest> one_time_keys_;
+    std::unique_ptr<MerkleTree> tree_;
+};
+
+// WOTS-MSS keygen matches the independent reference byte for byte: heights
+// 0-6 (h = 0 leaves 67 chains, not a multiple of 16 lanes; h = 5 and 6 span
+// several groups of 16 leaves), every backend (scalar also pins the SoA
+// engine to its lanes fallback), and several job counts. Roots at h = 0
+// and h = 4 are pinned as hex, so the reference itself cannot drift.
+TEST(CryptoBatch, MssWotsKeygenMatchesScalarReference) {
+    const Digest seed = test_seed(2);
+    const std::vector<std::pair<unsigned, std::string>> pinned_roots = {
+        {0, "4c88da8fe4bf87c51d0d330927f3472c6cd7dec13c160251295ea7e4ec5c0bb7"},
+        {4, "fcc6ff04c4d61cc5b62552bcc44658c0b3dd6833d0e597613e7d4e7734801b53"},
+    };
+    BackendGuard guard;
+    for (unsigned height = 0; height <= 6; ++height) {
+        ASSERT_TRUE(sha256_set_backend("auto"));
+        const WotsMssReference reference(seed, height);
+        for (const auto& [pinned_height, hex] : pinned_roots) {
+            if (pinned_height == height) {
+                EXPECT_EQ(util::to_hex(reference.public_key()), hex) << "height=" << height;
+            }
+        }
+        const std::size_t signed_leaves = std::min<std::size_t>(std::size_t{1} << height, 4);
+        for (const auto& backend : sha256_available_backends()) {
+            ASSERT_TRUE(sha256_set_backend(backend));
+            for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+                MssKeyPair key(seed, height, OtsScheme::kWots, jobs);
+                ASSERT_EQ(key.public_key(), reference.public_key())
+                    << "height=" << height << " backend=" << backend << " jobs=" << jobs;
+                for (std::size_t leaf = 0; leaf < signed_leaves; ++leaf) {
+                    const util::Bytes message = util::to_bytes("msg-" + std::to_string(leaf));
+                    ASSERT_EQ(key.sign(message).serialize(), reference.sign(leaf, message))
+                        << "height=" << height << " backend=" << backend << " jobs=" << jobs
+                        << " leaf=" << leaf;
+                }
             }
         }
     }

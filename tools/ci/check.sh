@@ -71,6 +71,14 @@ step "codec fuzz (flat wire smoke)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '(FuzzFlatCodec|asan\..*FuzzFlatCodec|MerkleMultiproof|asan\..*MerkleMultiproof)'
 
+step "crypto batch identity (keys and verdicts)"
+# The full ctest above already ran these; re-running the batch crypto suite
+# (batched WOTS keygen against its independent reference, batch verify,
+# the verify cache), plain and under the asan./tsan. variants, keeps a
+# drift in keys or verdicts legible in CI logs on its own line.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+    -R '(CryptoBatch|asan\..*CryptoBatch|tsan\..*CryptoBatch)'
+
 step "perfbench selftest (benchmark build gate)"
 # perfbench (perfbench/CMakeLists.txt) compiles src/ straight into its own
 # binary against the library's APIs, and ctest never builds it, so an API
