@@ -173,11 +173,12 @@ void BM_WotsVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_WotsVerify);
 
-// Backend × job-count grid at height 4 (16 leaves, the protocol's default
-// key size). The Lamport rows' scalar_j1 is the pre-overhaul baseline; the
-// wots_ rows are the scheme perfbench and protocol_overhead run, whose 16
-// leaves are one batched keygen pass on the 16-lane engine (scalar pins
-// that engine to its lanes fallback).
+// Backend × job-count grid at height 4 (16 leaves). The Lamport rows'
+// scalar_j1 is the pre-overhaul baseline; the wots_ rows are the scheme
+// perfbench and protocol_overhead run, whose 16 leaves are one batched
+// keygen pass on the 16-lane engine (scalar pins that engine to its lanes
+// fallback). The wots_ rows also run height 2 (4 leaves, 268 chains), the
+// protocol's default key size.
 void BM_MssKeygen(benchmark::State& state, const std::string& backend,
                   std::size_t jobs, crypto::OtsScheme scheme) {
     BackendPin pin(state, backend);
@@ -194,9 +195,11 @@ BENCHMARK_CAPTURE(BM_MssKeygen, scalar_j1, "scalar", 1, crypto::OtsScheme::kLamp
 BENCHMARK_CAPTURE(BM_MssKeygen, auto_j1, "auto", 1, crypto::OtsScheme::kLamport)->Arg(4);
 BENCHMARK_CAPTURE(BM_MssKeygen, auto_j4, "auto", 4, crypto::OtsScheme::kLamport)->Arg(4);
 BENCHMARK_CAPTURE(BM_MssKeygen, wots_scalar_j1, "scalar", 1, crypto::OtsScheme::kWots)
-    ->Arg(4);
+    ->Arg(4)
+    ->Arg(2);
 BENCHMARK_CAPTURE(BM_MssKeygen, wots_auto_j1, "auto", 1, crypto::OtsScheme::kWots)
-    ->Arg(4);
+    ->Arg(4)
+    ->Arg(2);
 
 void BM_MssSignVerify(benchmark::State& state) {
     const util::Bytes message = util::to_bytes("payment vector");

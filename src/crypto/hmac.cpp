@@ -11,7 +11,7 @@ HmacSha256::HmacSha256(std::span<const std::uint8_t> key) noexcept {
     if (key.size() > kBlock) {
         const Digest kd = Sha256::hash(key);
         std::memcpy(key_block.data(), kd.data(), kd.size());
-    } else {
+    } else if (!key.empty()) {  // an empty span may carry a null data()
         std::memcpy(key_block.data(), key.data(), key.size());
     }
 

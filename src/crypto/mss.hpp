@@ -13,9 +13,10 @@
 // The scheme tag is baked into each leaf's derivation and carried in the
 // signature, so a signature can never verify under the other scheme.
 //
-// This is the signature scheme behind S_β(m) in the protocol. A processor
-// signs at most a handful of messages per protocol run (bid, payment
-// vector, accusations), so small heights suffice.
+// This is the signature scheme behind S_β(m) in the protocol. An honest
+// processor signs two messages per protocol run (bid, payment vector) and a
+// scripted deviant at most three, so the protocol's default height is 2
+// (crypto::kDefaultMssHeight in pki.hpp).
 #pragma once
 
 #include <memory>
@@ -46,8 +47,9 @@ struct MssSignature {
 
 class MssKeyPair {
  public:
-    // Derives 2^height one-time keys from the seed. Throws std::length_error
-    // once all leaves are consumed by sign().
+    // Derives 2^height one-time keys from the seed. sign() throws
+    // std::length_error once all leaves are consumed; protocol cores never
+    // reach that, since they ask Signer::signatures_left() first and refuse.
     //
     // keygen_jobs caps the worker threads that build the one-time leaves
     // (via exec::RunExecutor; leaves are independent and returned in

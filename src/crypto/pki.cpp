@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -255,7 +256,9 @@ class MssSigner final : public Signer {
 
     [[nodiscard]] Digest public_key() const override { return key_.public_key(); }
 
-    [[nodiscard]] MssKeyPair& key() { return key_; }
+    [[nodiscard]] std::size_t signatures_left() const override {
+        return key_.capacity() - key_.signatures_used();
+    }
 
  private:
     MssKeyPair key_;
@@ -277,7 +280,9 @@ class FastSigner final : public Signer {
 
     [[nodiscard]] Digest public_key() const override { return public_key_; }
 
-    [[nodiscard]] const Digest& seed() const { return seed_; }
+    [[nodiscard]] std::size_t signatures_left() const override {
+        return std::numeric_limits<std::size_t>::max();
+    }
 
  private:
     Digest seed_{};

@@ -30,6 +30,11 @@ namespace dlsbl::crypto {
 
 using Identity = std::string;
 
+// MSS tree height of a protocol signer unless the caller sets one: 2^2 = 4
+// one-time keys. An honest processor signs two messages per run (its bid
+// and its payment vector) and a scripted deviant at most three.
+inline constexpr unsigned kDefaultMssHeight = 2;
+
 // A participant's signing capability. Verification goes through the Pki so
 // no caller ever touches another participant's private key.
 class Signer {
@@ -37,6 +42,10 @@ class Signer {
     virtual ~Signer() = default;
     [[nodiscard]] virtual util::Bytes sign(std::span<const std::uint8_t> message) = 0;
     [[nodiscard]] virtual Digest public_key() const = 0;
+    // Signatures this signer can still make: the unused one-time keys of an
+    // MSS tree, unlimited (the size_t maximum) for the HMAC oracle. sign()
+    // with none left throws (MssKeyPair::sign), so protocol cores ask first.
+    [[nodiscard]] virtual std::size_t signatures_left() const = 0;
 };
 
 class Pki {
@@ -138,13 +147,14 @@ enum class SignatureAlgorithm {
 };
 
 // Creates a signer for `id`, derived deterministically from `seed`, and
-// registers its verification key with `pki`. keygen_jobs is forwarded to
-// MssKeyPair (ignored by kFast): worker threads for leaf keygen, 0 and 1 =
-// inline. Keys are identical at any job count.
+// registers its verification key with `pki`. An MSS signer holds
+// 2^mss_height one-time keys (ignored by kFast). keygen_jobs is forwarded
+// to MssKeyPair (ignored by kFast): worker threads for leaf keygen, 0 and
+// 1 = inline. Keys are identical at any job count.
 std::unique_ptr<Signer> make_registered_signer(Pki& pki, const Identity& id,
                                                std::uint64_t seed,
                                                SignatureAlgorithm algorithm,
-                                               unsigned mss_height = 4,
+                                               unsigned mss_height = kDefaultMssHeight,
                                                std::size_t keygen_jobs = 1);
 
 // A message plus its signature: S_β(m) in the paper's notation.

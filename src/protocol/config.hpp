@@ -57,7 +57,10 @@ struct ProtocolConfig {
     // cost wall-clock time (overhead experiment E22).
     double control_seconds_per_byte = 0.0;
     crypto::SignatureAlgorithm signature_algorithm = crypto::SignatureAlgorithm::kMerkle;
-    unsigned mss_height = 4;        // 16 signatures per participant
+    // MSS tree height: 2^h one-time keys per participant. A node with no
+    // key left refuses to sign (counted), so validate() rejects 0: one key
+    // cannot sign both a bid and a payment vector.
+    unsigned mss_height = crypto::kDefaultMssHeight;
     // Signature-verification batch limit for the deferred message paths
     // (node bid intake, referee churn bids and payment vectors, bid-vector
     // validation). Non-blocking verifications queue up to this many

@@ -37,6 +37,11 @@ void ProtocolConfig::validate() const {
     dlt::ProblemInstance instance{kind, z, true_w};
     instance.validate();
     if (block_count == 0) throw std::invalid_argument("ProtocolConfig: block_count == 0");
+    if (mss_height == 0 && signature_algorithm != crypto::SignatureAlgorithm::kFast) {
+        throw std::invalid_argument(
+            "ProtocolConfig: mss_height == 0 (one signature) cannot sign a bid and a "
+            "payment vector");
+    }
     if (control_latency < 0.0) {
         throw std::invalid_argument("ProtocolConfig: negative control latency");
     }

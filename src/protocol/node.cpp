@@ -62,6 +62,14 @@ void NodeCore::register_handlers() {
 
 bool NodeCore::is_load_origin() const { return name() == ctx_.load_origin(); }
 
+std::optional<crypto::SignedMessage> NodeCore::sign(util::Bytes payload) {
+    if (signer_->signatures_left() == 0) {
+        ctx_.metrics_registry().counter(kSignaturesRefusedMetric).inc();
+        return std::nullopt;
+    }
+    return crypto::sign_message(*signer_, name(), std::move(payload));
+}
+
 void NodeCore::on_start() {
     if (ctx_.phase() == Phase::kInit) ctx_.set_phase(Phase::kBidding);
     broadcast_bid(bid_);
@@ -96,8 +104,9 @@ void NodeCore::broadcast_bid(double value) {
     body.job_id = ctx_.job_id();
     body.processor = name();
     body.bid = value;
-    const auto signed_msg = crypto::sign_message(*signer_, name(), wire::flat_encode(body));
-    util::Frame frame = wire::flat_encode(signed_msg);
+    const auto signed_msg = sign(wire::flat_encode(body));
+    if (!signed_msg) return;
+    util::Frame frame = wire::flat_encode(*signed_msg);
     // The node records its own (first) bid the same way it records peers',
     // by reference to the frame it broadcasts.
     if (!first_bids_[index_]) {
@@ -474,15 +483,15 @@ void NodeCore::handle_meter_broadcast(const WireMessage& message) {
         body_out.job_id = ctx_.job_id();
         body_out.processor = name();
         body_out.payments = std::move(q);
-        const auto signed_msg =
-            crypto::sign_message(*signer_, name(), wire::flat_encode(body_out));
+        const auto signed_msg = sign(wire::flat_encode(body_out));
+        if (!signed_msg) return;
         // Payment submission parents on the meter broadcast that prompted it.
         const obs::SpanContext pay_span = ctx_.spans().instant(
             "msg:payment_vector", name(), ctx_.clock().now(),
             message.span_id != 0 ? message.span_id : ctx_.phase_span().span_id);
         ctx_.transport().unicast(name(), ctx_.referee_name(),
                                  to_wire(MsgType::kPaymentVector),
-                                 wire::flat_encode(signed_msg), pay_span.span_id);
+                                 wire::flat_encode(*signed_msg), pay_span.span_id);
     };
 
     if (strategy_.contradictory_payment_vectors) {
@@ -520,7 +529,10 @@ void NodeCore::handle_bid_vector_request() {
                 halved.job_id = bid->job_id;
                 halved.processor = std::string(bid->processor);
                 halved.bid = bid->bid * 0.5;
-                entry = crypto::sign_message(*signer_, name(), wire::flat_encode(halved));
+                // Refused: the original entry goes out instead.
+                if (auto resigned = sign(wire::flat_encode(halved))) {
+                    entry = std::move(*resigned);
+                }
             }
         }
         body.bids.push_back(std::move(entry));

@@ -27,6 +27,12 @@
 
 namespace dlsbl::protocol {
 
+// Metric counting signatures a node refused because its signer had no
+// one-time key left. Created at the first refusal, so runs that never
+// refuse (every kFast run, every zoo strategy at the default height) do not
+// show it.
+inline constexpr const char* kSignaturesRefusedMetric = "dlsbl_signatures_refused_total";
+
 class NodeCore final : public Endpoint {
  public:
     NodeCore(RunContext& context, std::size_t index,
@@ -50,10 +56,14 @@ class NodeCore final : public Endpoint {
     [[nodiscard]] std::size_t blocks_extra() const noexcept { return extra_received_; }
     // Excluded at the churn bid deadline (a crashed-then-restarted bidder).
     [[nodiscard]] bool excluded_self() const noexcept { return excluded_self_; }
+    [[nodiscard]] std::size_t signatures_left() const { return signer_->signatures_left(); }
 
  private:
     void register_handlers();
     [[nodiscard]] bool is_load_origin() const;
+    // S_i(payload), or nullopt when the signer has no one-time key left: the
+    // refusal is counted and the caller sends nothing in its place.
+    [[nodiscard]] std::optional<crypto::SignedMessage> sign(util::Bytes payload);
     void broadcast_bid(double value);
     void handle_bid(const WireMessage& message);
     // Post-verification bid intake (record / dedup / accuse / finish) —

@@ -79,6 +79,15 @@ step "crypto batch identity (keys and verdicts)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '(CryptoBatch|asan\..*CryptoBatch|tsan\..*CryptoBatch)'
 
+step "signature budget (one-time keys per role)"
+# The full ctest above already ran these; re-running the budget suite
+# (every zoo strategy as the single deviant at the default MSS height, a
+# spent signer refusing instead of throwing, the height-0 validate rule),
+# plain and under the asan. variant, keeps a signer outgrowing its keys
+# legible in CI logs on its own line.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+    -R '(SignatureBudget|asan\..*SignatureBudget)'
+
 step "perfbench selftest (benchmark build gate)"
 # perfbench (perfbench/CMakeLists.txt) compiles src/ straight into its own
 # binary against the library's APIs, and ctest never builds it, so an API
