@@ -1,12 +1,16 @@
 // E14: engineering microbenchmarks for the scheduling substrate —
 // closed-form O(m) allocation vs the O(m³) Gaussian-elimination
-// cross-check, finishing-time evaluation, and the exact-rational path.
+// cross-check, finishing-time evaluation, the leave-one-out makespans of
+// the DLS-BL bonus (one row, and all m rows in one batched pass), and the
+// exact-rational path.
 //
 // `--json-out PATH` writes a BENCH_allocation.json document (see
-// bench/bench_json.hpp) with the closed-form-over-solver speedup derived.
+// bench/bench_json.hpp) with the closed-form-over-solver speedup and the
+// all-rows-over-row-by-row speedup derived.
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <vector>
 
 #include "bench/bench_gbench.hpp"
 #include "bench/bench_json.hpp"
@@ -70,6 +74,19 @@ void BM_LeaveOneOutMakespan(benchmark::State& state) {
 }
 BENCHMARK(BM_LeaveOneOutMakespan)->RangeMultiplier(4)->Range(4, 256);
 
+// A whole payment vector's rows: what DlsBl::payments solves.
+void BM_LeaveOneOutMakespans(benchmark::State& state) {
+    const auto instance =
+        make_instance(static_cast<std::size_t>(state.range(0)), dlt::NetworkKind::kNcpFE);
+    std::vector<double> rows(instance.processor_count());
+    for (auto _ : state) {
+        dlt::leave_one_out_makespans(instance, rows);
+        benchmark::DoNotOptimize(rows.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_LeaveOneOutMakespans)->RangeMultiplier(4)->Range(16, 1024);
+
 void BM_ExactRationalAllocation(benchmark::State& state) {
     const std::size_t m = static_cast<std::size_t>(state.range(0));
     std::vector<util::Rational> w;
@@ -101,6 +118,10 @@ int main(int argc, char** argv) {
     std::map<std::string, double> derived;
     derived["closed_form_over_solver_m256"] = bench::speedup(
         reporter, "BM_GaussianSolverAllocation/256", "BM_ClosedFormAllocation/256");
+    // 256 single rows against one pass over all 256.
+    derived["loo_all_rows_speedup_m256"] =
+        256.0 * bench::speedup(reporter, "BM_LeaveOneOutMakespan/256",
+                               "BM_LeaveOneOutMakespans/256");
     return bench::write_bench_json(*json_out, manifest, reporter.results(), derived)
                ? 0
                : 1;

@@ -11,6 +11,7 @@
 //   allocation order achieves the same optimal makespan.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "dlt/types.hpp"
@@ -26,6 +27,18 @@ ProblemInstance remove_processor(const ProblemInstance& instance, std::size_t re
 // without building the reduced instance or allocating. Profiled as one
 // "allocation_solve", like the optimal_allocation call it replaces.
 double leave_one_out_makespan(const ProblemInstance& instance, std::size_t removed);
+
+// All m rows at once: out[i] = leave_one_out_makespan(instance, i) bit for
+// bit, for every i. Rows are solved 8 at a time in lockstep lanes over
+// ratio tables and a multiplier prefix shared by all rows (O(m) to build,
+// one scratch buffer per call), each lane doing the scalar row's
+// floating-point operations in the scalar row's order, with one division
+// per row element instead of three. Still Θ(m²) in total: every row is a
+// full closed-form solve, profiled as one "allocation_solve" call per row.
+// The load origin's row reduces to a kCP system and goes through
+// leave_one_out_makespan. Throws std::invalid_argument unless m >= 2,
+// out.size() == m, z >= 0 and every rate is finite and > 0.
+void leave_one_out_makespans(const ProblemInstance& instance, std::span<double> out);
 
 struct PermutationStudy {
     std::vector<double> makespans;  // optimal makespan per sampled processor order

@@ -76,6 +76,12 @@ PaymentBreakdown DlsBl::payments(std::span<const double> exec_values) const {
     if (exec_values.size() != m) {
         throw std::invalid_argument("DlsBl: execution vector size mismatch");
     }
+    // Any row missing: solve all m in one batched pass (a cached row gets
+    // its own bits back).
+    if (std::any_of(exclusion_cache_.begin(), exclusion_cache_.end(),
+                    [](double row) { return std::isnan(row); })) {
+        dlt::leave_one_out_makespans(instance_, exclusion_cache_);
+    }
     PaymentBreakdown out;
     out.compensation.resize(m);
     out.bonus.resize(m);

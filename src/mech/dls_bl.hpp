@@ -55,12 +55,16 @@ class DlsBl {
     [[nodiscard]] double realized_makespan(std::span<const double> exec_values) const;
 
     // Payments given the observed per-unit execution times w̃ (same length
-    // as the bid vector).
+    // as the bid vector). Unless every leave-one-out row is cached, it
+    // solves all m in one dlt::leave_one_out_makespans pass, Θ(m²) flops
+    // (m rows of O(m), vectorized 8 rows at a time); then each row costs
+    // O(1).
     [[nodiscard]] PaymentBreakdown payments(std::span<const double> exec_values) const;
 
     // Single-agent views (used by property checkers and benches). bonus_of
-    // costs O(1) once exclusion_makespan(i) is cached, and equals the bonus
-    // re-evaluated over the full mixed vector bit for bit.
+    // solves only row i (dlt::leave_one_out_makespan, O(m)) unless it is
+    // cached, then costs O(1), and equals the bonus re-evaluated over the
+    // full mixed vector bit for bit.
     [[nodiscard]] double bonus_of(std::size_t i, double exec_value) const;
     [[nodiscard]] double utility_of(std::size_t i, double exec_value) const;
 

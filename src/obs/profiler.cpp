@@ -49,14 +49,14 @@ std::size_t Profiler::enter(const char* name) {
     return index;
 }
 
-void Profiler::leave(std::size_t node_index, std::uint64_t elapsed_ns) {
+void Profiler::leave(std::size_t node_index, std::uint64_t elapsed_ns, std::uint64_t calls) {
     const std::lock_guard<std::mutex> lock(mutex_);
     // A reset() between enter and leave invalidates the node index; drop the
     // sample rather than write into a rebuilt tree.
     if (t_cursor.generation != generation_ || node_index >= nodes_.size()) return;
     Node& node = nodes_[node_index];
     node.ns += elapsed_ns;
-    node.calls += 1;
+    node.calls += calls;
     t_cursor.current = node.parent;
 }
 

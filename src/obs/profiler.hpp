@@ -1,13 +1,16 @@
 // Scoped wall-clock profiler.
 //
 //     OBS_SCOPE("allocation_solve");
+//     OBS_SCOPE("allocation_solve", rows);
 //
 // opens a RAII scope attributed to the current position in the scope tree;
 // nested scopes build a hierarchy (protocol_run -> sim_event_loop ->
-// allocation_solve -> linear_solve). Disabled (the default) a scope costs
-// one predicted branch, so the hooks stay compiled into the hot paths —
-// the DLT solver, the hash-based signing paths, the sim event loop —
-// without taxing them.
+// allocation_solve -> linear_solve). A scope counts as one call unless it
+// is given a call count: a batched kernel that does `rows` solves in one
+// pass records `rows` calls and one duration, so call counts stay counts
+// of work done. Disabled (the default) a scope costs one predicted branch,
+// so the hooks stay compiled into the hot paths — the DLT solver, the
+// hash-based signing paths, the sim event loop — without taxing them.
 //
 // The report is wall-clock and therefore intentionally *not* part of the
 // deterministic run artifacts (JSONL / catapult / metrics); it is a human
@@ -55,7 +58,8 @@ class Profiler {
 
     // --- internal interface used by ScopedTimer ------------------------------
     std::size_t enter(const char* name);
-    void leave(std::size_t node_index, std::uint64_t elapsed_ns);
+    // Adds one duration and `calls` calls to the node.
+    void leave(std::size_t node_index, std::uint64_t elapsed_ns, std::uint64_t calls);
 
  private:
     struct Node {
@@ -78,10 +82,11 @@ class Profiler {
 
 class ScopedTimer {
  public:
-    explicit ScopedTimer(const char* name) {
+    explicit ScopedTimer(const char* name, std::uint64_t calls = 1) {
         auto& profiler = Profiler::instance();
         if (!profiler.enabled()) return;
         active_ = true;
+        calls_ = calls;
         node_ = profiler.enter(name);
         start_ = std::chrono::steady_clock::now();
     }
@@ -92,7 +97,8 @@ class ScopedTimer {
         Profiler::instance().leave(
             node_, static_cast<std::uint64_t>(
                        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                           .count()));
+                           .count()),
+            calls_);
     }
 
     ScopedTimer(const ScopedTimer&) = delete;
@@ -101,6 +107,7 @@ class ScopedTimer {
  private:
     bool active_ = false;
     std::size_t node_ = 0;
+    std::uint64_t calls_ = 0;
     std::chrono::steady_clock::time_point start_;
 };
 
@@ -108,5 +115,6 @@ class ScopedTimer {
 
 #define DLSBL_OBS_CONCAT_INNER(a, b) a##b
 #define DLSBL_OBS_CONCAT(a, b) DLSBL_OBS_CONCAT_INNER(a, b)
-#define OBS_SCOPE(name) \
-    ::dlsbl::obs::ScopedTimer DLSBL_OBS_CONCAT(obs_scope_, __LINE__)(name)
+// OBS_SCOPE(name) or OBS_SCOPE(name, calls).
+#define OBS_SCOPE(...) \
+    ::dlsbl::obs::ScopedTimer DLSBL_OBS_CONCAT(obs_scope_, __LINE__)(__VA_ARGS__)

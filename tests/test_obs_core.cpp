@@ -3,6 +3,7 @@
 // sinks, and the trace -> Gantt / catapult converters.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -254,6 +255,31 @@ TEST(ObsProfiler, DisabledScopesRecordNothing) {
     profiler.reset();
     { OBS_SCOPE("ghost"); }
     EXPECT_EQ(profiler.total_calls("ghost"), 0u);
+}
+
+TEST(ObsProfiler, ScopeRecordsItsCallCount) {
+    auto& profiler = obs::Profiler::instance();
+    profiler.reset();
+    profiler.set_enabled(true);
+    {
+        OBS_SCOPE("batched", 5);
+        OBS_SCOPE("inner");
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(profiler.total_calls("batched"), 5u);
+    EXPECT_EQ(profiler.total_calls("inner"), 1u);
+    // One duration, not five: the counted scope's time is the inner
+    // scope's plus a little bookkeeping, where five would be at least five
+    // times the inner scope's.
+    const std::uint64_t inner_ns = profiler.total_ns("inner");
+    EXPECT_GE(inner_ns, 5'000'000u);
+    EXPECT_GE(profiler.total_ns("batched"), inner_ns);
+    EXPECT_LT(profiler.total_ns("batched"), 5 * inner_ns);
+
+    profiler.set_enabled(false);
+    { OBS_SCOPE("batched", 5); }
+    EXPECT_EQ(profiler.total_calls("batched"), 5u);
+    profiler.reset();
 }
 
 TEST(ObsProfiler, NestedScopesBuildTree) {

@@ -169,7 +169,9 @@ TEST(ObsProtocol, ProfilerSawTheWiredScopes) {
     // the *start* of the next run).
     EXPECT_EQ(profiler.total_calls("protocol_run"), 1u);
     EXPECT_EQ(profiler.total_calls("sim_event_loop"), 1u);
-    EXPECT_GE(profiler.total_calls("allocation_solve"), 1u);
+    // Each of the m = 4 nodes solves its allocation, its mechanism's
+    // allocation and the m leave-one-out rows of its payment vector.
+    EXPECT_EQ(profiler.total_calls("allocation_solve"), 4u * (4u + 2u));
     profiler.reset();
 
     // The hash-based signature scopes only fire under the MSS algorithm
@@ -188,6 +190,29 @@ TEST(ObsProtocol, ProfilerSawTheWiredScopes) {
     EXPECT_EQ(profiler.total_calls("mss_verify"), 1u);
     EXPECT_GE(profiler.total_calls("wots_sign"), 1u);
     profiler.reset();
+}
+
+// m = 19: the batched payment pass solves 18 rows per node in lane groups
+// of 8, 8 and 2, with the load origin's row solved on its own, first
+// (NCP-FE) or last (NCP-NFE). Every row still counts as one solve.
+TEST(ObsProtocol, HonestRunCountsEveryRowSolved) {
+    for (const auto kind : {dlt::NetworkKind::kNcpFE, dlt::NetworkKind::kNcpNFE}) {
+        auto config = honest_config();
+        config.kind = kind;
+        config.true_w.clear();
+        for (std::size_t i = 0; i < 19; ++i) {
+            config.true_w.push_back(0.8 + 0.07 * static_cast<double>((i * 5) % 17));
+        }
+        auto& profiler = obs::Profiler::instance();
+        profiler.reset();
+        profiler.set_enabled(true);
+        const auto outcome = protocol::run_protocol(config);
+        profiler.set_enabled(false);
+        EXPECT_FALSE(outcome.terminated_early) << dlt::to_string(kind);
+        EXPECT_EQ(profiler.total_calls("allocation_solve"), 19u * (19u + 2u))
+            << dlt::to_string(kind);
+        profiler.reset();
+    }
 }
 
 TEST(ObsProtocol, IdenticalSeedsProduceByteIdenticalArtifacts) {

@@ -1,18 +1,23 @@
 // Bit-exact pins for the allocation-free payment rows. A DLS-BL payment is
 // money that every node and the referee must compute to the same bytes, so
-// the leave-one-out makespan (dlt::leave_one_out_makespan) and the O(1)
-// bonus rows of mech::DlsBl are compared with the re-evaluations they
-// replaced as raw IEEE-754 bit patterns, never within a tolerance:
+// the leave-one-out makespan (dlt::leave_one_out_makespan), the batched
+// pass over all rows (dlt::leave_one_out_makespans) and the O(1) bonus rows
+// of mech::DlsBl are compared with the re-evaluations they replaced as raw
+// IEEE-754 bit patterns, never within a tolerance:
 //   * leave_one_out_makespan(w, i) == optimal_makespan(remove_processor(w, i));
+//   * leave_one_out_makespans(w)[i] == both of the above, also for rates
+//     six orders of magnitude apart and for z = 0;
 //   * bonus_of(i, w̃_i) and payments(w̃) == that leave-one-out value minus
 //     makespan_generic over the mixed vector (b_-i, w̃_i).
-// All three network kinds, m = 2..64 plus 255, 256, 257 and 1024, every i
-// (the load origin included), and execution values at, above and below the
-// bid.
+// All three network kinds, m = 2..64 plus 255, 256, 257 and 1024 (so every
+// remainder of the batched pass's lane groups, with the load origin's row
+// first, last or absent), every i (the load origin included), and
+// execution values at, above and below the bid.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -50,6 +55,19 @@ dlt::ProblemInstance make_instance(NetworkKind kind, std::size_t m, double z) {
     instance.z = z;
     instance.w.resize(m);
     for (double& w : instance.w) w = rng.uniform(0.8, 2.0);
+    return instance;
+}
+
+// Rates from U[1e-3, 1e3]: chain ratios and shares spread over many
+// binades, where a reordered sum or a reciprocal would show in the bits.
+dlt::ProblemInstance make_spread_instance(NetworkKind kind, std::size_t m, double z) {
+    util::Xoshiro256 rng{
+        util::derive_seed(0x5B1D, m * 4 + static_cast<std::uint64_t>(kind))};
+    dlt::ProblemInstance instance;
+    instance.kind = kind;
+    instance.z = z;
+    instance.w.resize(m);
+    for (double& w : instance.w) w = rng.uniform(1e-3, 1e3);
     return instance;
 }
 
@@ -94,6 +112,59 @@ TEST(PaymentRowsBitExact, LeaveOneOutChecksLikeTheReducedInstance) {
     EXPECT_THROW((void)dlt::leave_one_out_makespan(instance, 0), std::invalid_argument);
     EXPECT_EQ(bits(dlt::leave_one_out_makespan(instance, 1)),
               bits(reference_exclusion(instance, 1)));
+}
+
+TEST(PaymentRowsBitExact, AllRowsMatchRowByRow) {
+    constexpr double kAllRowZs[] = {0.0, 0.05, 0.6};
+    std::vector<double> out;
+    for (const NetworkKind kind : kKinds) {
+        for (const double z : kAllRowZs) {
+            for (const std::size_t m : sizes()) {
+                for (const bool spread : {false, true}) {
+                    const auto instance =
+                        spread ? make_spread_instance(kind, m, z) : make_instance(kind, m, z);
+                    out.assign(m, std::numeric_limits<double>::quiet_NaN());
+                    dlt::leave_one_out_makespans(instance, out);
+                    for (std::size_t i = 0; i < m; ++i) {
+                        ASSERT_EQ(bits(out[i]), bits(dlt::leave_one_out_makespan(instance, i)))
+                            << dlt::to_string(kind) << " z=" << z << " m=" << m
+                            << " spread=" << spread << " i=" << i;
+                        ASSERT_EQ(bits(out[i]), bits(reference_exclusion(instance, i)))
+                            << dlt::to_string(kind) << " z=" << z << " m=" << m
+                            << " spread=" << spread << " i=" << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(PaymentRowsBitExact, AllRowsCheckLikeTheRows) {
+    std::vector<double> slots(4);
+    dlt::ProblemInstance instance{NetworkKind::kNcpFE, 0.1, {1.0}};
+    EXPECT_THROW(dlt::leave_one_out_makespans(instance, std::span<double>(slots).first(1)),
+                 std::invalid_argument);
+    instance.w = {1.0, 2.0, 1.5};
+    // One slot per processor, no fewer and no more.
+    EXPECT_THROW(dlt::leave_one_out_makespans(instance, std::span<double>(slots).first(2)),
+                 std::invalid_argument);
+    EXPECT_THROW(dlt::leave_one_out_makespans(instance, slots), std::invalid_argument);
+    const std::span<double> out = std::span<double>(slots).first(3);
+    // Every rate is kept by some row, so every rate is checked.
+    for (const double bad : {0.0, -2.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        for (const std::size_t at : {0u, 1u, 2u}) {
+            instance.w = {1.0, 2.0, 1.5};
+            instance.w[at] = bad;
+            EXPECT_THROW(dlt::leave_one_out_makespans(instance, out), std::invalid_argument)
+                << "w[" << at << "] = " << bad;
+        }
+    }
+    instance.w = {1.0, 2.0, 1.5};
+    instance.z = -0.1;
+    EXPECT_THROW(dlt::leave_one_out_makespans(instance, out), std::invalid_argument);
+    instance.z = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(dlt::leave_one_out_makespans(instance, out), std::invalid_argument);
 }
 
 TEST(PaymentRowsBitExact, BonusMatchesFullReevaluation) {

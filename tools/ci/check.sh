@@ -88,6 +88,15 @@ step "signature budget (one-time keys per role)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '(SignatureBudget|asan\..*SignatureBudget)'
 
+step "payment rows (bit-exact)"
+# The full ctest above already ran these; re-running the payment-row suite
+# (the batched all-rows pass against the scalar row and the reduced-
+# instance solve, the O(1) bonus rows, whole payment vectors), plain and
+# under the asan. variant, keeps a payment bit that moved legible in CI
+# logs on its own line.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+    -R '(PaymentRowsBitExact|asan\..*PaymentRowsBitExact)'
+
 step "perfbench selftest (benchmark build gate)"
 # perfbench (perfbench/CMakeLists.txt) compiles src/ straight into its own
 # binary against the library's APIs, and ctest never builds it, so an API
