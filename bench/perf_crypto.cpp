@@ -1,11 +1,11 @@
 // E15: engineering microbenchmarks for the cryptographic substrate —
 // SHA-256 throughput per compression backend, the multi-lane batch APIs,
-// HMAC, Lamport/WOTS/Merkle signature operations, MSS keygen across backend
-// and thread-count variants, and full protocol-message signing.
+// HMAC, WOTS/Merkle signature operations, MSS keygen per backend, batch
+// verification, and full protocol-message signing.
 //
 // `--json-out PATH` additionally writes a BENCH_crypto.json document whose
-// "derived" section records the headline SIMD-over-scalar and parallel-
-// keygen speedups (bench/bench_json.hpp schema).
+// "derived" section records the headline SIMD-over-scalar, batch-verify
+// and verify-cache speedups (bench/bench_json.hpp schema).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -20,7 +20,6 @@
 #include "bench/bench_json.hpp"
 #include "crypto/batch_verify.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/lamport.hpp"
 #include "crypto/mss.hpp"
 #include "crypto/pki.hpp"
 #include "crypto/wots.hpp"
@@ -115,35 +114,6 @@ void BM_HmacMidstate(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacMidstate);
 
-void BM_LamportKeygen(benchmark::State& state) {
-    const crypto::Digest seed = crypto::Sha256::hash("bench-seed");
-    for (auto _ : state) {
-        crypto::LamportKeyPair key(seed);
-        benchmark::DoNotOptimize(key.public_key());
-    }
-}
-BENCHMARK(BM_LamportKeygen);
-
-void BM_LamportSign(benchmark::State& state) {
-    const crypto::LamportKeyPair key(crypto::Sha256::hash("bench-seed"));
-    const util::Bytes message = util::to_bytes("bid: 1.25 from P3");
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(key.sign(message));
-    }
-}
-BENCHMARK(BM_LamportSign);
-
-void BM_LamportVerify(benchmark::State& state) {
-    const crypto::LamportKeyPair key(crypto::Sha256::hash("bench-seed"));
-    const util::Bytes message = util::to_bytes("bid: 1.25 from P3");
-    const auto signature = key.sign(message);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            crypto::LamportKeyPair::verify(key.public_key(), message, signature));
-    }
-}
-BENCHMARK(BM_LamportVerify);
-
 void BM_WotsKeygen(benchmark::State& state) {
     const crypto::Digest seed = crypto::Sha256::hash("wots-bench");
     for (auto _ : state) {
@@ -173,33 +143,22 @@ void BM_WotsVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_WotsVerify);
 
-// Backend × job-count grid at height 4 (16 leaves). The Lamport rows'
-// scalar_j1 is the pre-overhaul baseline; the wots_ rows are the scheme
-// perfbench and protocol_overhead run, whose 16 leaves are one batched
-// keygen pass on the 16-lane engine (scalar pins that engine to its lanes
-// fallback). The wots_ rows also run height 2 (4 leaves, 268 chains), the
-// protocol's default key size.
-void BM_MssKeygen(benchmark::State& state, const std::string& backend,
-                  std::size_t jobs, crypto::OtsScheme scheme) {
+// Inline keygen per backend at height 4 (16 leaves, one batched keygen
+// pass on the 16-lane engine; scalar pins that engine to its lanes
+// fallback) and height 2 (4 leaves, 268 chains), the protocol's default
+// key size.
+void BM_MssKeygen(benchmark::State& state, const std::string& backend) {
     BackendPin pin(state, backend);
     if (!pin) return;
     const crypto::Digest seed = crypto::Sha256::hash("mss-bench");
     const auto height = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        crypto::MssKeyPair key(seed, height, scheme, jobs);
+        crypto::MssKeyPair key(seed, height);
         benchmark::DoNotOptimize(key.public_key());
     }
 }
-BENCHMARK_CAPTURE(BM_MssKeygen, scalar_j1, "scalar", 1, crypto::OtsScheme::kLamport)
-    ->Arg(4);
-BENCHMARK_CAPTURE(BM_MssKeygen, auto_j1, "auto", 1, crypto::OtsScheme::kLamport)->Arg(4);
-BENCHMARK_CAPTURE(BM_MssKeygen, auto_j4, "auto", 4, crypto::OtsScheme::kLamport)->Arg(4);
-BENCHMARK_CAPTURE(BM_MssKeygen, wots_scalar_j1, "scalar", 1, crypto::OtsScheme::kWots)
-    ->Arg(4)
-    ->Arg(2);
-BENCHMARK_CAPTURE(BM_MssKeygen, wots_auto_j1, "auto", 1, crypto::OtsScheme::kWots)
-    ->Arg(4)
-    ->Arg(2);
+BENCHMARK_CAPTURE(BM_MssKeygen, wots_scalar_j1, "scalar")->Arg(4)->Arg(2);
+BENCHMARK_CAPTURE(BM_MssKeygen, wots_auto_j1, "auto")->Arg(4)->Arg(2);
 
 void BM_MssSignVerify(benchmark::State& state) {
     const util::Bytes message = util::to_bytes("payment vector");
@@ -225,12 +184,12 @@ struct VerifyPool {
     std::vector<util::Bytes> signatures;
     std::vector<crypto::MssVerifyItem> items;
 
-    explicit VerifyPool(crypto::OtsScheme scheme, std::size_t total) {
+    explicit VerifyPool(std::size_t total) {
         std::vector<crypto::MssKeyPair> keys;
         keys.reserve(4);
         for (std::size_t k = 0; k < 4; ++k) {
             keys.emplace_back(crypto::Sha256::hash("verify-many-" + std::to_string(k)),
-                              /*height=*/4, scheme);
+                              /*height=*/4);
         }
         for (const auto& key : keys) roots.push_back(key.public_key());
         for (std::size_t i = 0; i < total; ++i) {
@@ -244,10 +203,10 @@ struct VerifyPool {
     }
 };
 
-void BM_MssVerifyMany(benchmark::State& state, crypto::OtsScheme scheme) {
+void BM_MssVerifyMany(benchmark::State& state) {
     const auto batch = static_cast<std::size_t>(state.range(0));
     constexpr std::size_t kTotal = 64;
-    const VerifyPool pool(scheme, kTotal);
+    const VerifyPool pool(kTotal);
     std::vector<std::uint8_t> verdicts(kTotal);
     static_assert(sizeof(bool) == 1);
     for (auto _ : state) {
@@ -271,10 +230,9 @@ void BM_MssVerifyMany(benchmark::State& state, crypto::OtsScheme scheme) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(kTotal));
 }
-BENCHMARK_CAPTURE(BM_MssVerifyMany, wots, crypto::OtsScheme::kWots)
+BENCHMARK(BM_MssVerifyMany)
+    ->Name("BM_MssVerifyMany/wots")
     ->Arg(0)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
-BENCHMARK_CAPTURE(BM_MssVerifyMany, lamport, crypto::OtsScheme::kLamport)
-    ->Arg(0)->Arg(32);
 
 void BM_MerkleTreeBuild(benchmark::State& state) {
     std::vector<crypto::Digest> leaves;
@@ -349,10 +307,6 @@ int main(int argc, char** argv) {
         reporter, "BM_Sha256Hash32Many/scalar/1024", "BM_Sha256Hash32Many/auto/1024");
     derived["hash_pair_many_speedup"] = bench::speedup(
         reporter, "BM_Sha256HashPairMany/scalar/512", "BM_Sha256HashPairMany/auto/512");
-    derived["mss_keygen_speedup_auto_j1"] =
-        bench::speedup(reporter, "BM_MssKeygen/scalar_j1/4", "BM_MssKeygen/auto_j1/4");
-    derived["mss_keygen_speedup_auto_j4"] =
-        bench::speedup(reporter, "BM_MssKeygen/scalar_j1/4", "BM_MssKeygen/auto_j4/4");
     derived["mss_wots_keygen_speedup_auto_j1"] = bench::speedup(
         reporter, "BM_MssKeygen/wots_scalar_j1/4", "BM_MssKeygen/wots_auto_j1/4");
     derived["pki_verify_cache_speedup"] =
@@ -361,8 +315,6 @@ int main(int argc, char** argv) {
         reporter, "BM_MssVerifyMany/wots/0", "BM_MssVerifyMany/wots/32");
     derived["batch_verify_speedup_64"] = bench::speedup(
         reporter, "BM_MssVerifyMany/wots/0", "BM_MssVerifyMany/wots/64");
-    derived["batch_verify_speedup_lamport_32"] = bench::speedup(
-        reporter, "BM_MssVerifyMany/lamport/0", "BM_MssVerifyMany/lamport/32");
 
     return bench::write_bench_json(*json_out, manifest, reporter.results(), derived)
                ? 0

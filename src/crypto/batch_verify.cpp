@@ -115,7 +115,6 @@ void run_chain_jobs(std::span<const ChainJob> jobs) {
 
 struct SigView {
     bool ok = false;
-    OtsScheme scheme = OtsScheme::kLamport;
     std::uint64_t leaf_index = 0;
     const std::uint8_t* otpk = nullptr;       // 32 bytes
     std::span<const std::uint8_t> ots;
@@ -137,12 +136,7 @@ SigView parse_sig(std::span<const std::uint8_t> data) noexcept {
     const auto need = [&](std::size_t n) { return data.size() - pos >= n; };
 
     if (!need(1 + 8 + 32)) return view;
-    const std::uint8_t scheme = data[pos++];
-    if (scheme != static_cast<std::uint8_t>(OtsScheme::kLamport) &&
-        scheme != static_cast<std::uint8_t>(OtsScheme::kWots)) {
-        return view;
-    }
-    view.scheme = static_cast<OtsScheme>(scheme);
+    if (data[pos++] != kMssSchemeTag) return view;
     view.leaf_index = load_le64(data.data() + pos);
     pos += 8;
     view.otpk = data.data() + pos;
@@ -170,11 +164,6 @@ SigView parse_sig(std::span<const std::uint8_t> data) noexcept {
     view.sibling_count = count;
     view.ok = true;
     return view;
-}
-
-// Bit i (0 = MSB of byte 0) of a digest — Lamport's digest_bit.
-inline int digest_bit(const Digest& d, std::size_t i) noexcept {
-    return (d[i / 8] >> (7 - i % 8)) & 1;
 }
 
 }  // namespace
@@ -248,112 +237,67 @@ void sha256_streams(const std::uint8_t* const* data, const std::size_t* len,
 void mss_verify_many(std::span<const MssVerifyItem> items, bool* verdicts) {
     OBS_SCOPE("mss_verify_batch");
     const std::size_t n = items.size();
-    constexpr std::size_t kWotsSigBytes = WotsKeyPair::kChains * 32;     // 2144
-    constexpr std::size_t kLamportSigBytes = 2 * 256 * 32;               // 16384
+    constexpr std::size_t kSigBytes = WotsKeyPair::kChains * 32;  // 2144
 
+    // Parseable signatures with a WOTS-sized OTS (anything else would fail
+    // OTS deserialize: verdict false) and their message digests, 16
+    // streams at a time.
     std::vector<SigView> views(n);
-    std::vector<Digest> mds(n);
+    std::vector<std::size_t> idx;
+    std::vector<Digest> mds;
     {
-        // Message digests for every parseable signature, 16 streams at a
-        // time (WOTS needs them for digits, Lamport for bit selection).
         std::vector<const std::uint8_t*> ptrs;
         std::vector<std::size_t> lens;
-        std::vector<std::size_t> idx;
         for (std::size_t i = 0; i < n; ++i) {
             views[i] = parse_sig(items[i].signature);
             verdicts[i] = false;
-            if (!views[i].ok) continue;
-            const std::size_t want = views[i].scheme == OtsScheme::kWots
-                                         ? kWotsSigBytes
-                                         : kLamportSigBytes;
-            if (views[i].ots.size() != want) {
-                views[i].ok = false;  // OTS deserialize would fail: verdict false
-                continue;
-            }
+            if (!views[i].ok || views[i].ots.size() != kSigBytes) continue;
             ptrs.push_back(items[i].message.data());
             lens.push_back(items[i].message.size());
             idx.push_back(i);
         }
-        std::vector<Digest> digests(idx.size());
-        detail::sha256_streams(ptrs.data(), lens.data(), idx.size(), digests.data());
-        for (std::size_t k = 0; k < idx.size(); ++k) mds[idx[k]] = digests[k];
+        mds.resize(idx.size());
+        detail::sha256_streams(ptrs.data(), lens.data(), idx.size(), mds.data());
     }
 
-    // One chain job per WOTS chain end / Lamport revealed value, all
-    // signatures pooled through the same scheduler.
-    std::vector<Digest> chain_out;
-    std::vector<std::size_t> chain_base(n, 0);
+    // One chain job per WOTS chain, all signatures pooled through the same
+    // scheduler; signature k's chain ends land in chain_out[kChains * k ..].
+    std::vector<Digest> chain_out(idx.size() * WotsKeyPair::kChains);
     {
-        std::size_t total = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!views[i].ok) continue;
-            chain_base[i] = total;
-            total += views[i].scheme == OtsScheme::kWots ? WotsKeyPair::kChains : 256;
-        }
-        chain_out.resize(total);
         std::vector<ChainJob> jobs;
-        jobs.reserve(total);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!views[i].ok) continue;
-            std::uint8_t* dst = chain_out[chain_base[i]].data();
-            const std::uint8_t* src = views[i].ots.data();
-            if (views[i].scheme == OtsScheme::kWots) {
-                const Digest& md = mds[i];
-                unsigned checksum = 0;
-                std::array<unsigned, WotsKeyPair::kChains> digits{};
-                for (std::size_t c = 0; c < WotsKeyPair::kDigits; ++c) {
-                    const std::uint8_t byte = md[c / 2];
-                    const unsigned digit = (c % 2 == 0) ? (byte >> 4) : (byte & 0x0f);
-                    digits[c] = digit;
-                    checksum += WotsKeyPair::kChainLength - digit;
-                }
-                digits[WotsKeyPair::kDigits] = (checksum >> 8) & 0x0f;
-                digits[WotsKeyPair::kDigits + 1] = (checksum >> 4) & 0x0f;
-                digits[WotsKeyPair::kDigits + 2] = checksum & 0x0f;
-                for (std::size_t c = 0; c < WotsKeyPair::kChains; ++c) {
-                    jobs.push_back({src + 32 * c, dst + 32 * c,
-                                    static_cast<std::uint8_t>(WotsKeyPair::kChainLength -
-                                                              digits[c])});
-                }
-            } else {
-                for (std::size_t c = 0; c < 256; ++c) {
-                    jobs.push_back({src + 32 * c, dst + 32 * c, 1});
-                }
+        jobs.reserve(chain_out.size());
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+            const Digest& md = mds[k];
+            unsigned checksum = 0;
+            std::array<unsigned, WotsKeyPair::kChains> digits{};
+            for (std::size_t c = 0; c < WotsKeyPair::kDigits; ++c) {
+                const std::uint8_t byte = md[c / 2];
+                const unsigned digit = (c % 2 == 0) ? (byte >> 4) : (byte & 0x0f);
+                digits[c] = digit;
+                checksum += WotsKeyPair::kChainLength - digit;
+            }
+            digits[WotsKeyPair::kDigits] = (checksum >> 8) & 0x0f;
+            digits[WotsKeyPair::kDigits + 1] = (checksum >> 4) & 0x0f;
+            digits[WotsKeyPair::kDigits + 2] = checksum & 0x0f;
+            const std::uint8_t* src = views[idx[k]].ots.data();
+            std::uint8_t* dst = chain_out[WotsKeyPair::kChains * k].data();
+            for (std::size_t c = 0; c < WotsKeyPair::kChains; ++c) {
+                jobs.push_back({src + 32 * c, dst + 32 * c,
+                                static_cast<std::uint8_t>(WotsKeyPair::kChainLength -
+                                                          digits[c])});
             }
         }
         run_chain_jobs(jobs);
     }
 
-    // One-time public key rebuilds. WOTS streams hash the chain ends in
-    // place; Lamport interleaves revealed-hashes with the carried
-    // counterpart hashes in canonical (H(sk[i][0]), H(sk[i][1])) order.
+    // One-time public key rebuilds: each signature's chain ends, hashed in
+    // place as one stream.
     std::vector<bool> ots_ok(n, false);
     {
-        std::vector<util::Bytes> lamport_streams;
-        std::vector<const std::uint8_t*> ptrs;
-        std::vector<std::size_t> lens;
-        std::vector<std::size_t> idx;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!views[i].ok) continue;
-            if (views[i].scheme == OtsScheme::kWots) {
-                ptrs.push_back(chain_out[chain_base[i]].data());
-                lens.push_back(kWotsSigBytes);
-            } else {
-                util::Bytes stream(kLamportSigBytes);
-                const Digest* revealed_hash = &chain_out[chain_base[i]];
-                const std::uint8_t* counterpart = views[i].ots.data() + 256 * 32;
-                for (std::size_t c = 0; c < 256; ++c) {
-                    const int bit = digest_bit(mds[i], c);
-                    const std::uint8_t* h_revealed = revealed_hash[c].data();
-                    const std::uint8_t* h_counter = counterpart + 32 * c;
-                    std::memcpy(stream.data() + 64 * c, bit == 0 ? h_revealed : h_counter, 32);
-                    std::memcpy(stream.data() + 64 * c + 32, bit == 0 ? h_counter : h_revealed, 32);
-                }
-                lamport_streams.push_back(std::move(stream));
-                ptrs.push_back(lamport_streams.back().data());
-                lens.push_back(kLamportSigBytes);
-            }
-            idx.push_back(i);
+        std::vector<const std::uint8_t*> ptrs(idx.size());
+        const std::vector<std::size_t> lens(idx.size(), kSigBytes);
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+            ptrs[k] = chain_out[WotsKeyPair::kChains * k].data();
         }
         std::vector<Digest> pk(idx.size());
         detail::sha256_streams(ptrs.data(), lens.data(), idx.size(), pk.data());

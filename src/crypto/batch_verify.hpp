@@ -14,11 +14,9 @@
 //   * every WOTS chain from every signature becomes one (start, steps)
 //     job; jobs are bucketed by remaining step count and advanced 16 at a
 //     time through the struct-of-arrays SHA-256 engine
-//     (crypto/sha256_soa.hpp) at full lane density — Lamport signatures
-//     join the same scheduler as 256 one-step jobs;
-//   * one-time public key rebuilds, message digests and Lamport pk
-//     streams run through sha256_streams, the ragged 16-stream batch
-//     hasher;
+//     (crypto/sha256_soa.hpp) at full lane density;
+//   * one-time public key rebuilds and message digests run through
+//     sha256_streams, the ragged 16-stream batch hasher;
 //   * Merkle authentication paths recompute level-by-level across all
 //     signatures via Sha256::hash_pair_many.
 //

@@ -1,9 +1,9 @@
 // HMAC-SHA256 (RFC 2104), verified against the RFC 4231 test vectors.
 //
 // The PRF of the signature stack: it derives the Merkle signature scheme's
-// per-leaf seeds from one master seed and each Lamport leaf's secret keys
-// from its leaf seed. WOTS keygen computes the same HMAC for its chain
-// secrets, 16 lanes at a time on the SoA engine (crypto/wots.cpp).
+// per-leaf seeds from one master seed. WOTS keygen computes the same HMAC
+// for each leaf's chain secrets, 16 lanes at a time on the SoA engine
+// (crypto/wots.cpp).
 #pragma once
 
 #include <span>

@@ -1,7 +1,7 @@
 // Merkle hash tree over SHA-256.
 //
 // Two uses in the repository:
-//   * crypto/mss.hpp authenticates one-time Lamport public keys under a
+//   * crypto/mss.hpp authenticates one-time WOTS public keys under a
 //     single root, turning them into a many-time signature key;
 //   * protocol/blocks.hpp commits the user's data blocks so the referee can
 //     check block integrity during load-allocation disputes (§4 "Allocating

@@ -5,13 +5,9 @@
 // carries the one-time signature, the one-time public key, and the Merkle
 // authentication path proving that key belongs to the root.
 //
-// Two interchangeable one-time schemes back the leaves:
-//   * Lamport (crypto/lamport.hpp) — the textbook construction, 16 KiB
-//     signatures;
-//   * Winternitz w=16 (crypto/wots.hpp) — ~8x smaller signatures for a few
-//     more hash evaluations.
-// The scheme tag is baked into each leaf's derivation and carried in the
-// signature, so a signature can never verify under the other scheme.
+// The leaves are Winternitz w=16 one-time keys (crypto/wots.hpp). The
+// scheme tag kMssSchemeTag is baked into each leaf's derivation and leads
+// every serialized signature.
 //
 // This is the signature scheme behind S_β(m) in the protocol. An honest
 // processor signs two messages per protocol run (bid, payment vector) and a
@@ -23,22 +19,20 @@
 #include <optional>
 #include <vector>
 
-#include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/wots.hpp"
 
 namespace dlsbl::crypto {
 
-enum class OtsScheme : std::uint8_t {
-    kLamport = 1,
-    kWots = 2,
-};
+// The one-time scheme's tag byte: the first byte of every serialized
+// MssSignature and part of every leaf-seed derivation. Deserialization
+// accepts no other value; tag 1 was the retired Lamport scheme's.
+inline constexpr std::uint8_t kMssSchemeTag = 2;
 
 struct MssSignature {
-    OtsScheme scheme = OtsScheme::kLamport;
     std::uint64_t leaf_index = 0;
     Digest one_time_public_key{};
-    util::Bytes ots;  // serialized LamportSignature or WotsKeyPair::Signature
+    util::Bytes ots;  // serialized WotsKeyPair::Signature
     MerkleProof auth_path;
 
     [[nodiscard]] util::Bytes serialize() const;
@@ -55,16 +49,14 @@ class MssKeyPair {
     // (via exec::RunExecutor; leaves are independent and returned in
     // submission order, so keys, signatures, and the Merkle root are
     // byte-identical at any job count). 0 and 1 run inline on the calling
-    // thread. Lamport leaves are one task each; WOTS leaves are one task
-    // per batched keygen pass of WotsKeyPair::kBatchLeaves leaves, so
-    // heights up to 4 are a single task and run inline at any job count.
-    MssKeyPair(const Digest& seed, unsigned height,
-               OtsScheme scheme = OtsScheme::kLamport, std::size_t keygen_jobs = 1);
+    // thread. Leaves are one task per batched keygen pass of
+    // WotsKeyPair::kBatchLeaves leaves, so heights up to 4 are a single
+    // task and run inline at any job count.
+    MssKeyPair(const Digest& seed, unsigned height, std::size_t keygen_jobs = 1);
 
     [[nodiscard]] const Digest& public_key() const noexcept { return tree_->root(); }
-    [[nodiscard]] std::size_t capacity() const noexcept { return leaf_count_; }
+    [[nodiscard]] std::size_t capacity() const noexcept { return keys_.size(); }
     [[nodiscard]] std::size_t signatures_used() const noexcept { return next_leaf_; }
-    [[nodiscard]] OtsScheme scheme() const noexcept { return scheme_; }
 
     [[nodiscard]] MssSignature sign(std::span<const std::uint8_t> message);
 
@@ -72,10 +64,7 @@ class MssKeyPair {
                        const MssSignature& signature);
 
  private:
-    OtsScheme scheme_;
-    std::size_t leaf_count_ = 0;
-    std::vector<LamportKeyPair> lamport_keys_;
-    std::vector<WotsKeyPair> wots_keys_;
+    std::vector<WotsKeyPair> keys_;
     std::unique_ptr<MerkleTree> tree_;
     std::size_t next_leaf_ = 0;
 };

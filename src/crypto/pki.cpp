@@ -246,9 +246,8 @@ Digest seed_digest(const Identity& id, std::uint64_t seed) {
 
 class MssSigner final : public Signer {
  public:
-    MssSigner(const Digest& seed, unsigned height, OtsScheme scheme,
-              std::size_t keygen_jobs)
-        : key_(seed, height, scheme, keygen_jobs) {}
+    MssSigner(const Digest& seed, unsigned height, std::size_t keygen_jobs)
+        : key_(seed, height, keygen_jobs) {}
 
     util::Bytes sign(std::span<const std::uint8_t> message) override {
         return key_.sign(message).serialize();
@@ -297,12 +296,8 @@ std::unique_ptr<Signer> make_registered_signer(Pki& pki, const Identity& id,
                                                unsigned mss_height,
                                                std::size_t keygen_jobs) {
     const Digest sd = seed_digest(id, seed);
-    if (algorithm == SignatureAlgorithm::kMerkle ||
-        algorithm == SignatureAlgorithm::kMerkleWots) {
-        const OtsScheme scheme = algorithm == SignatureAlgorithm::kMerkle
-                                     ? OtsScheme::kLamport
-                                     : OtsScheme::kWots;
-        auto signer = std::make_unique<MssSigner>(sd, mss_height, scheme, keygen_jobs);
+    if (algorithm == SignatureAlgorithm::kMerkleWots) {
+        auto signer = std::make_unique<MssSigner>(sd, mss_height, keygen_jobs);
         const Digest pk = signer->public_key();
         pki.register_identity(id, pk,
                               [pk](std::span<const std::uint8_t> message,

@@ -6,11 +6,12 @@
 // the signed envelope S_β(m) = (m, SIG_β(m)).
 //
 // Two interchangeable signature algorithms implement the Signer interface:
-//   * MssSigner  — the real hash-based Merkle signature scheme (default).
+//   * MssSigner  — the real hash-based Merkle signature scheme over WOTS
+//     one-time keys (default).
 //   * FastSigner — HMAC-SHA256 with registry-held verification keys. It is
 //     *not* publicly verifiable cryptography; it models an unforgeable
 //     signing oracle and exists so the Θ(m²) communication bench can sweep
-//     to hundreds of processors without paying Lamport keygen. Protocol
+//     to hundreds of processors without paying MSS keygen. Protocol
 //     logic and message layouts are identical under both.
 #pragma once
 
@@ -102,7 +103,7 @@ class Pki {
     // so (id, message, signature) determines the verdict; the referee
     // re-checks the same envelopes during dispute replays and payment
     // validation, and those repeats hit the cache instead of re-running
-    // Lamport/WOTS chains. Keyed by a SHA-256 digest of the length-framed
+    // WOTS chains. Keyed by a SHA-256 digest of the length-framed
     // triple; bounded (the table is flushed when `capacity` entries are
     // reached); capacity 0 disables caching entirely.
     struct CacheStats {
@@ -140,10 +141,11 @@ class Pki {
     std::unique_ptr<VerifyCache> cache_ = std::make_unique<VerifyCache>();
 };
 
+// Explicit values: 0 is retired, and the printed values of the other two
+// (e.g. in gtest's parameter display) stay stable.
 enum class SignatureAlgorithm {
-    kMerkle,      // real hash-based signatures (Lamport OTS + Merkle tree)
-    kMerkleWots,  // real hash-based signatures (Winternitz OTS, ~8x smaller)
-    kFast,        // HMAC oracle; registry-verified, used for large-scale benches
+    kMerkleWots = 1,  // real hash-based signatures (WOTS leaves + Merkle tree)
+    kFast = 2,        // HMAC oracle; registry-verified, used for large-scale benches
 };
 
 // Creates a signer for `id`, derived deterministically from `seed`, and

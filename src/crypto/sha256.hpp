@@ -1,10 +1,10 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
-// The only cryptographic primitive in the repository; the Lamport/WOTS/
-// Merkle signature stack (crypto/lamport.hpp, crypto/wots.hpp,
-// crypto/mss.hpp) and HMAC are built exclusively on top of it. Verified
-// against the NIST example vectors in tests/test_sha256.cpp and the full
-// FIPS 180-4 known-answer set in tests/test_sha256_kat.cpp.
+// The only cryptographic primitive in the repository; the WOTS/Merkle
+// signature stack (crypto/wots.hpp, crypto/mss.hpp) and HMAC are built
+// exclusively on top of it. Verified against the NIST example vectors in
+// tests/test_sha256.cpp and the full FIPS 180-4 known-answer set in
+// tests/test_sha256_kat.cpp.
 //
 // Besides the streaming one-shot API there is a batch surface —
 // hash32_many / hash_pair_many / hash_fixed_many / hash_many — that hashes
@@ -51,7 +51,7 @@ class Sha256 {
     // bit-identical to n calls of the scalar one-shot API.
 
     // out[i] = H(in[32*i .. 32*i+31]). One padded block per message — the
-    // Lamport/WOTS hot shape (hash a 32-byte secret or chain link).
+    // WOTS hot shape (hash a 32-byte secret or chain link).
     static void hash32_many(const std::uint8_t* in, Digest* out,
                             std::size_t n) noexcept;
     static void hash32_many(std::span<const Digest> in,

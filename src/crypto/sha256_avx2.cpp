@@ -4,8 +4,8 @@
 // There is no cross-round parallelism to mine in a single SHA-256 stream,
 // so this tier leaves `compress` to the scalar loop and accelerates only
 // `compress_lanes` — exactly the shape of the repository's hot paths
-// (Lamport/WOTS chain steps and Merkle level builds are thousands of
-// independent one-block hashes). On CPUs with SHA-NI the shani tier wins
+// (WOTS chain steps and Merkle level builds are thousands of independent
+// one-block hashes). On CPUs with SHA-NI the shani tier wins
 // and this one is dormant; it exists for the AVX2-only generations.
 //
 // Same build strategy as sha256_shani.cpp: per-function target attribute

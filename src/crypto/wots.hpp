@@ -1,10 +1,10 @@
 // Winternitz one-time signatures (WOTS, w = 16).
 //
-// A drop-in alternative to Lamport OTS with ~8x smaller signatures
-// (67 x 32 B = 2144 B vs 16 KiB): each 4-bit digit of the message digest
+// The one-time scheme behind every MSS leaf (crypto/mss.hpp), with
+// 67 x 32 B = 2144 B signatures: each 4-bit digit of the message digest
 // selects a position along a length-16 hash chain; a base-16 checksum over
-// the complements prevents digit-increase forgeries. Built, like Lamport,
-// purely on SHA-256; bench/perf_crypto compares the two.
+// the complements prevents digit-increase forgeries. Built purely on
+// SHA-256.
 //
 // Chain c of a key starts at the secret PRF(seed, c) = HMAC-SHA256(seed,
 // str("wots-chain") || u64(c)) and the public key is the hash of the 67

@@ -56,7 +56,7 @@ struct ProtocolConfig {
     // bus). 0 = the paper's model; > 0 makes the mechanism's Θ(m²) traffic
     // cost wall-clock time (overhead experiment E22).
     double control_seconds_per_byte = 0.0;
-    crypto::SignatureAlgorithm signature_algorithm = crypto::SignatureAlgorithm::kMerkle;
+    crypto::SignatureAlgorithm signature_algorithm = crypto::SignatureAlgorithm::kMerkleWots;
     // MSS tree height: 2^h one-time keys per participant. A node with no
     // key left refuses to sign (counted), so validate() rejects 0: one key
     // cannot sign both a bid and a payment vector.

@@ -4,8 +4,8 @@
 // observable action (accusation, phase change, fine, settlement) depends
 // on a verdict until a round boundary: the first m-1 bids just accumulate.
 // VerifyQueue exploits that window — arrivals are parked unverified and
-// flushed through Pki::verify_many, which amortizes WOTS/Lamport chain
-// work across the whole batch (crypto/batch_verify.hpp).
+// flushed through Pki::verify_many, which amortizes WOTS chain work
+// across the whole batch (crypto/batch_verify.hpp).
 //
 // Correctness contract: the flush replays the queued envelopes in arrival
 // order against Pki::verify_many, which is itself observably identical to

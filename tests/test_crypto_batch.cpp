@@ -18,7 +18,6 @@
 
 #include "crypto/batch_verify.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/mss.hpp"
 #include "crypto/pki.hpp"
@@ -154,14 +153,12 @@ TEST(CryptoBatch, HashFixedManyMatchesScalar) {
     }
 }
 
-// Lamport/WOTS/Merkle artifacts must not depend on the backend.
+// WOTS/Merkle artifacts must not depend on the backend.
 TEST(CryptoBatch, SignatureSchemesIdenticalAcrossBackends) {
     const Digest seed = test_seed(1);
     const util::Bytes message = util::to_bytes("the batched message");
 
     ASSERT_TRUE(sha256_set_backend("scalar"));
-    const LamportKeyPair lamport_ref(seed);
-    const auto lamport_sig_ref = lamport_ref.sign(message).serialize();
     const WotsKeyPair wots_ref(seed);
     const auto wots_sig_ref = wots_ref.sign(message).serialize();
     std::vector<Digest> leaves;
@@ -172,13 +169,6 @@ TEST(CryptoBatch, SignatureSchemesIdenticalAcrossBackends) {
     BackendGuard guard;
     for (const auto& backend : sha256_available_backends()) {
         ASSERT_TRUE(sha256_set_backend(backend));
-        const LamportKeyPair lamport(seed);
-        EXPECT_EQ(lamport.public_key(), lamport_ref.public_key()) << backend;
-        EXPECT_EQ(lamport.sign(message).serialize(), lamport_sig_ref) << backend;
-        EXPECT_TRUE(LamportKeyPair::verify(lamport.public_key(), message,
-                                           lamport_ref.sign(message)))
-            << backend;
-
         const WotsKeyPair wots(seed);
         EXPECT_EQ(wots.public_key(), wots_ref.public_key()) << backend;
         EXPECT_EQ(wots.sign(message).serialize(), wots_sig_ref) << backend;
@@ -187,39 +177,6 @@ TEST(CryptoBatch, SignatureSchemesIdenticalAcrossBackends) {
 
         const MerkleTree tree(leaves);
         EXPECT_EQ(tree.root(), tree_ref.root()) << backend;
-    }
-}
-
-// MSS keygen must produce identical keys and signatures at any job count
-// (the exec::RunExecutor determinism contract applied to leaf keygen).
-TEST(CryptoBatch, MssKeygenIdenticalAcrossJobCounts) {
-    const Digest seed = test_seed(2);
-    for (const OtsScheme scheme : {OtsScheme::kLamport, OtsScheme::kWots}) {
-        std::vector<util::Bytes> reference_sigs;
-        Digest reference_pk{};
-        for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-            MssKeyPair key(seed, /*height=*/3, scheme, jobs);
-            if (jobs == 1) {
-                reference_pk = key.public_key();
-            } else {
-                EXPECT_EQ(key.public_key(), reference_pk)
-                    << "scheme=" << static_cast<int>(scheme) << " jobs=" << jobs;
-            }
-            std::vector<util::Bytes> sigs;
-            for (int m = 0; m < 4; ++m) {
-                const util::Bytes message = util::to_bytes("msg-" + std::to_string(m));
-                sigs.push_back(key.sign(message).serialize());
-                const auto parsed = MssSignature::deserialize(sigs.back());
-                ASSERT_TRUE(parsed.has_value());
-                EXPECT_TRUE(MssKeyPair::verify(key.public_key(), message, *parsed));
-            }
-            if (jobs == 1) {
-                reference_sigs = std::move(sigs);
-            } else {
-                EXPECT_EQ(sigs, reference_sigs)
-                    << "scheme=" << static_cast<int>(scheme) << " jobs=" << jobs;
-            }
-        }
     }
 }
 
@@ -239,7 +196,7 @@ class WotsMssReference {
         for (std::uint64_t leaf = 0; leaf < (std::uint64_t{1} << height); ++leaf) {
             util::ByteWriter label;
             label.str("mss-leaf");
-            label.u8(static_cast<std::uint8_t>(OtsScheme::kWots));
+            label.u8(2);  // the WOTS scheme tag
             label.u64(leaf);
             leaf_seeds_.push_back(master.mac(label.data()));
             util::Bytes ends;
@@ -268,7 +225,6 @@ class WotsMssReference {
         for (const unsigned shift : {8u, 4u, 0u}) digits.push_back((checksum >> shift) & 0x0fu);
 
         MssSignature sig;
-        sig.scheme = OtsScheme::kWots;
         sig.leaf_index = leaf;
         sig.one_time_public_key = one_time_keys_[leaf];
         for (std::size_t c = 0; c < kChains; ++c) {
@@ -324,7 +280,7 @@ TEST(CryptoBatch, MssWotsKeygenMatchesScalarReference) {
         for (const auto& backend : sha256_available_backends()) {
             ASSERT_TRUE(sha256_set_backend(backend));
             for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-                MssKeyPair key(seed, height, OtsScheme::kWots, jobs);
+                MssKeyPair key(seed, height, jobs);
                 ASSERT_EQ(key.public_key(), reference.public_key())
                     << "height=" << height << " backend=" << backend << " jobs=" << jobs;
                 for (std::size_t leaf = 0; leaf < signed_leaves; ++leaf) {
@@ -357,63 +313,64 @@ TEST(CryptoBatch, HmacMidstateMatchesFreeFunction) {
 
 // mss_verify_many must produce verdict-for-verdict what the eager
 // deserialize + verify pair produces — over honest signatures, corrupted
-// bytes, truncations, wrong keys, wrong messages, and cross-transplants,
-// for both OTS schemes.
+// bytes, truncations, wrong keys, wrong messages, cross-transplants, and
+// an honest signature carrying the retired scheme tag 1.
 TEST(CryptoBatch, MssVerifyManyMatchesEagerVerdicts) {
     util::Xoshiro256 rng{0x77AAu};
-    for (const OtsScheme scheme : {OtsScheme::kLamport, OtsScheme::kWots}) {
-        MssKeyPair key_a(test_seed(10), /*height=*/3, scheme);
-        MssKeyPair key_b(test_seed(11), /*height=*/3, scheme);
-        const Digest pk_a = key_a.public_key();
-        const Digest pk_b = key_b.public_key();
+    MssKeyPair key_a(test_seed(10), /*height=*/3);
+    MssKeyPair key_b(test_seed(11), /*height=*/3);
+    const Digest pk_a = key_a.public_key();
+    const Digest pk_b = key_b.public_key();
 
-        std::vector<util::Bytes> messages;
-        std::vector<util::Bytes> signatures;
-        std::vector<const Digest*> keys;
-        for (int m = 0; m < 6; ++m) {
-            messages.push_back(util::to_bytes("batch-msg-" + std::to_string(m)));
-            signatures.push_back(
-                (m % 2 == 0 ? key_a : key_b).sign(messages.back()).serialize());
-            keys.push_back(m % 2 == 0 ? &pk_a : &pk_b);
-        }
-        // Hostile variants: bit flips, truncation, key/message mismatch.
-        for (int m = 0; m < 6; ++m) {
-            util::Bytes corrupted = signatures[static_cast<std::size_t>(m)];
-            corrupted[static_cast<std::size_t>(
-                rng.uniform_int(0, corrupted.size() - 1))] ^= 0x40;
-            messages.push_back(messages[static_cast<std::size_t>(m)]);
-            signatures.push_back(std::move(corrupted));
-            keys.push_back(keys[static_cast<std::size_t>(m)]);
-        }
-        messages.push_back(messages[0]);
-        signatures.push_back(util::Bytes(signatures[0].begin(),
-                                         signatures[0].begin() + 10));  // truncated
-        keys.push_back(&pk_a);
-        messages.push_back(messages[1]);
-        signatures.push_back(signatures[1]);
-        keys.push_back(&pk_a);  // wrong root for key_b's signature
-        messages.push_back(util::to_bytes("different message"));
-        signatures.push_back(signatures[0]);
-        keys.push_back(&pk_a);  // right key, wrong message
-
-        std::vector<MssVerifyItem> items(signatures.size());
-        for (std::size_t i = 0; i < signatures.size(); ++i) {
-            items[i] = {keys[i], messages[i], signatures[i]};
-        }
-        std::vector<std::uint8_t> verdicts(items.size(), 0xCD);
-        static_assert(sizeof(bool) == 1);
-        mss_verify_many(items, reinterpret_cast<bool*>(verdicts.data()));
-
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            const auto parsed = MssSignature::deserialize(signatures[i]);
-            const bool eager =
-                parsed.has_value() && MssKeyPair::verify(*keys[i], messages[i], *parsed);
-            EXPECT_EQ(verdicts[i] != 0, eager)
-                << "scheme=" << static_cast<int>(scheme) << " item=" << i;
-        }
-        // The honest third must all verify (guards against a vacuous pass).
-        for (std::size_t i = 0; i < 6; ++i) EXPECT_TRUE(verdicts[i] != 0);
+    std::vector<util::Bytes> messages;
+    std::vector<util::Bytes> signatures;
+    std::vector<const Digest*> keys;
+    for (int m = 0; m < 6; ++m) {
+        messages.push_back(util::to_bytes("batch-msg-" + std::to_string(m)));
+        signatures.push_back((m % 2 == 0 ? key_a : key_b).sign(messages.back()).serialize());
+        keys.push_back(m % 2 == 0 ? &pk_a : &pk_b);
     }
+    // Hostile variants: bit flips, truncation, key/message mismatch.
+    for (int m = 0; m < 6; ++m) {
+        util::Bytes corrupted = signatures[static_cast<std::size_t>(m)];
+        corrupted[static_cast<std::size_t>(rng.uniform_int(0, corrupted.size() - 1))] ^= 0x40;
+        messages.push_back(messages[static_cast<std::size_t>(m)]);
+        signatures.push_back(std::move(corrupted));
+        keys.push_back(keys[static_cast<std::size_t>(m)]);
+    }
+    messages.push_back(messages[0]);
+    signatures.push_back(util::Bytes(signatures[0].begin(),
+                                     signatures[0].begin() + 10));  // truncated
+    keys.push_back(&pk_a);
+    messages.push_back(messages[1]);
+    signatures.push_back(signatures[1]);
+    keys.push_back(&pk_a);  // wrong root for key_b's signature
+    messages.push_back(util::to_bytes("different message"));
+    signatures.push_back(signatures[0]);
+    keys.push_back(&pk_a);  // right key, wrong message
+    const std::size_t retired_tag = signatures.size();
+    messages.push_back(messages[0]);
+    signatures.push_back(signatures[0]);
+    signatures.back()[0] = 1;  // valid WOTS bytes under the retired tag
+    keys.push_back(&pk_a);
+
+    std::vector<MssVerifyItem> items(signatures.size());
+    for (std::size_t i = 0; i < signatures.size(); ++i) {
+        items[i] = {keys[i], messages[i], signatures[i]};
+    }
+    std::vector<std::uint8_t> verdicts(items.size(), 0xCD);
+    static_assert(sizeof(bool) == 1);
+    mss_verify_many(items, reinterpret_cast<bool*>(verdicts.data()));
+
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const auto parsed = MssSignature::deserialize(signatures[i]);
+        const bool eager =
+            parsed.has_value() && MssKeyPair::verify(*keys[i], messages[i], *parsed);
+        EXPECT_EQ(verdicts[i] != 0, eager) << "item=" << i;
+    }
+    EXPECT_FALSE(verdicts[retired_tag] != 0);
+    // The honest signatures must all verify (guards against a vacuous pass).
+    for (std::size_t i = 0; i < 6; ++i) EXPECT_TRUE(verdicts[i] != 0);
 }
 
 // Pki::verify_many must be observably identical to sequential Pki::verify:
@@ -425,8 +382,8 @@ TEST(CryptoBatch, PkiVerifyManyMatchesSequentialVerifyAndStats) {
         Pki pki;
         auto mss_signer = make_registered_signer(pki, "P1", 42,
                                                  SignatureAlgorithm::kMerkleWots, 3);
-        auto lam_signer =
-            make_registered_signer(pki, "P2", 43, SignatureAlgorithm::kMerkle, 3);
+        auto mss_signer2 =
+            make_registered_signer(pki, "P2", 43, SignatureAlgorithm::kMerkleWots, 3);
         auto fast_signer =
             make_registered_signer(pki, "P3", 44, SignatureAlgorithm::kFast);
 
@@ -441,7 +398,7 @@ TEST(CryptoBatch, PkiVerifyManyMatchesSequentialVerifyAndStats) {
             if (corrupt) signatures.back()[0] ^= 0x01;
         };
         add("P1", *mss_signer, "alpha", false);
-        add("P2", *lam_signer, "beta", false);
+        add("P2", *mss_signer2, "beta", false);
         add("P3", *fast_signer, "gamma", false);
         add("P1", *mss_signer, "delta", true);
         // Duplicate of item 0: a cache hit on the sequential path, and the

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "agents/zoo.hpp"
-#include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/mss.hpp"
 #include "crypto/pki.hpp"
@@ -64,9 +63,6 @@ TEST(FuzzCodecs, Block) { fuzz_decoder<protocol::BlockBatch>(10, 2000, 512); }
 TEST(FuzzCodecs, SignedMessage) { fuzz_decoder<crypto::SignedMessage>(11, 3000, 512); }
 TEST(FuzzCodecs, MerkleProof) { fuzz_decoder<crypto::MerkleProof>(12, 3000, 512); }
 TEST(FuzzCodecs, MssSignature) { fuzz_decoder<crypto::MssSignature>(13, 500, 20000); }
-TEST(FuzzCodecs, LamportSignature) {
-    fuzz_decoder<crypto::LamportSignature>(14, 200, 20000);
-}
 
 // Mutation fuzzing: take a VALID encoding, flip random bytes, and require
 // graceful handling — and, for signed content, rejection by verification.
@@ -171,7 +167,7 @@ TEST(FuzzCodecs, MutatedMerkleSignedMessagesNeverVerify) {
     // tree proofs — it must reject without crashing on every mutant.
     crypto::Pki pki;
     auto signer =
-        crypto::make_registered_signer(pki, "P3", 4, crypto::SignatureAlgorithm::kMerkle);
+        crypto::make_registered_signer(pki, "P3", 4, crypto::SignatureAlgorithm::kMerkleWots);
     protocol::TerminateBody body{"offense (iii)", {"P2"}};
     const auto msg = crypto::sign_message(*signer, "P3", body.serialize());
     ASSERT_TRUE(msg.verify(pki));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/pki.hpp"
 #include "util/bytes.hpp"
 
 namespace dlsbl::crypto {
@@ -103,63 +104,73 @@ TEST(Mss, ExcessiveHeightRejected) {
     EXPECT_THROW(MssKeyPair(seed(13), 17), std::invalid_argument);
 }
 
-// ---- Winternitz-backed MSS ----------------------------------------------------
+// ---- WOTS leaves: scheme tag and wire layout ---------------------------------
 
 TEST(MssWots, SignVerifyAllLeaves) {
-    MssKeyPair key(seed(20), 2, OtsScheme::kWots);
-    EXPECT_EQ(key.scheme(), OtsScheme::kWots);
+    MssKeyPair key(seed(20), 2);
     for (int i = 0; i < 4; ++i) {
         const util::Bytes msg = util::to_bytes("wots-msg-" + std::to_string(i));
         const MssSignature sig = key.sign(msg);
-        EXPECT_EQ(sig.scheme, OtsScheme::kWots);
         EXPECT_TRUE(MssKeyPair::verify(key.public_key(), msg, sig)) << i;
     }
     EXPECT_THROW(key.sign(util::to_bytes("x")), std::length_error);
 }
 
-TEST(MssWots, SignaturesMuchSmallerThanLamport) {
-    MssKeyPair lamport(seed(21), 1, OtsScheme::kLamport);
-    MssKeyPair wots(seed(21), 1, OtsScheme::kWots);
-    const util::Bytes msg = util::to_bytes("size comparison");
-    const auto ls = lamport.sign(msg).serialize();
-    const auto ws = wots.sign(msg).serialize();
-    EXPECT_LT(ws.size() * 5, ls.size());
+// tag, leaf index, one-time key, length-framed WOTS signature (67 chains),
+// length-framed auth path (leaf index, count, one digest per level).
+TEST(MssWots, SerializedSizeMatchesLayout) {
+    for (unsigned height = 0; height <= 4; ++height) {
+        MssKeyPair key(seed(21), height);
+        const util::Bytes wire = key.sign(util::to_bytes("size")).serialize();
+        EXPECT_EQ(wire.size(), 1 + 8 + 32 + (8 + WotsKeyPair::kChains * 32) +
+                                   (8 + 16 + 32 * std::size_t{height}))
+            << "height=" << height;
+        EXPECT_EQ(wire[0], kMssSchemeTag);
+    }
 }
 
-TEST(MssWots, SchemesAreNotInterchangeable) {
-    // Same seed, different scheme: different roots, and a signature from
-    // one never verifies under the other's public key.
-    MssKeyPair lamport(seed(22), 2, OtsScheme::kLamport);
-    MssKeyPair wots(seed(22), 2, OtsScheme::kWots);
-    EXPECT_NE(lamport.public_key(), wots.public_key());
-    const util::Bytes msg = util::to_bytes("m");
-    EXPECT_FALSE(MssKeyPair::verify(wots.public_key(), msg, lamport.sign(msg)));
-    EXPECT_FALSE(MssKeyPair::verify(lamport.public_key(), msg, wots.sign(msg)));
-}
-
+// A rewritten tag byte fails the registered verifier, eagerly and batched.
 TEST(MssWots, SchemeTagTamperingFails) {
-    MssKeyPair key(seed(23), 1, OtsScheme::kWots);
+    Pki pki;
+    pki.set_verify_cache_capacity(0);  // both paths verify, neither replays a verdict
+    auto signer = make_registered_signer(pki, "P1", 23, SignatureAlgorithm::kMerkleWots);
     const util::Bytes msg = util::to_bytes("m");
-    MssSignature sig = key.sign(msg);
-    sig.scheme = OtsScheme::kLamport;  // mismatched tag: OTS bytes won't parse
-    EXPECT_FALSE(MssKeyPair::verify(key.public_key(), msg, sig));
+    const util::Bytes good = signer->sign(msg);
+    ASSERT_TRUE(pki.verify("P1", msg, good));
+    const Identity id = "P1";
+    for (const std::uint8_t tag : {0x00, 0x01, 0x03, 0x7f}) {
+        util::Bytes bad = good;
+        bad[0] = tag;
+        EXPECT_FALSE(pki.verify("P1", msg, bad)) << "tag=" << int{tag};
+        const Pki::VerifyRequest request{&id, msg, bad};
+        bool verdict = true;
+        pki.verify_many(std::span<const Pki::VerifyRequest>(&request, 1), &verdict);
+        EXPECT_FALSE(verdict) << "tag=" << int{tag};
+    }
 }
 
 TEST(MssWots, SerializationRoundTrip) {
-    MssKeyPair key(seed(24), 2, OtsScheme::kWots);
+    MssKeyPair key(seed(24), 2);
     const util::Bytes msg = util::to_bytes("wire");
     const MssSignature sig = key.sign(msg);
-    const auto parsed = MssSignature::deserialize(sig.serialize());
+    const util::Bytes wire = sig.serialize();
+    const auto parsed = MssSignature::deserialize(wire);
     ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->scheme, OtsScheme::kWots);
+    EXPECT_EQ(parsed->serialize(), wire);
     EXPECT_TRUE(MssKeyPair::verify(key.public_key(), msg, *parsed));
 }
 
+// Only kMssSchemeTag parses; 1 is the retired tag, 0, 3 and 0x7f never
+// existed.
 TEST(MssWots, DeserializeRejectsBadSchemeTag) {
-    MssKeyPair key(seed(25), 1, OtsScheme::kWots);
-    util::Bytes wire = key.sign(util::to_bytes("m")).serialize();
-    wire[0] = 0x7f;  // invalid scheme byte
-    EXPECT_FALSE(MssSignature::deserialize(wire).has_value());
+    MssKeyPair key(seed(25), 1);
+    const util::Bytes wire = key.sign(util::to_bytes("m")).serialize();
+    ASSERT_TRUE(MssSignature::deserialize(wire).has_value());
+    for (const std::uint8_t tag : {0x00, 0x01, 0x03, 0x7f}) {
+        util::Bytes bad = wire;
+        bad[0] = tag;
+        EXPECT_FALSE(MssSignature::deserialize(bad).has_value()) << "tag=" << int{tag};
+    }
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ TEST(ObsProtocol, ProfilerSawTheWiredScopes) {
     profiler.set_enabled(true);
     {
         crypto::Digest seed{};
-        crypto::MssKeyPair keys(seed, /*height=*/2, crypto::OtsScheme::kWots);
+        crypto::MssKeyPair keys(seed, /*height=*/2);
         const std::uint8_t message[] = {1, 2, 3};
         const auto signature = keys.sign(message);
         EXPECT_TRUE(crypto::MssKeyPair::verify(keys.public_key(), message, signature));

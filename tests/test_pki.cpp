@@ -10,16 +10,12 @@ namespace {
 class PkiTest : public ::testing::TestWithParam<SignatureAlgorithm> {};
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PkiTest,
-                         ::testing::Values(SignatureAlgorithm::kMerkle,
-                                           SignatureAlgorithm::kMerkleWots,
+                         ::testing::Values(SignatureAlgorithm::kMerkleWots,
                                            SignatureAlgorithm::kFast),
                          [](const auto& param_info) -> std::string {
-                             switch (param_info.param) {
-                                 case SignatureAlgorithm::kMerkle: return "Merkle";
-                                 case SignatureAlgorithm::kMerkleWots:
-                                     return "MerkleWots";
-                                 default: return "Fast";
-                             }
+                             return param_info.param == SignatureAlgorithm::kMerkleWots
+                                        ? "MerkleWots"
+                                        : "Fast";
                          });
 
 TEST_P(PkiTest, SignedMessageVerifies) {
@@ -96,7 +92,7 @@ TEST(Pki, DistinctSeedsDistinctKeys) {
 
 TEST(Pki, CrossAlgorithmSignatureRejected) {
     Pki pki;
-    auto merkle = make_registered_signer(pki, "M", 1, SignatureAlgorithm::kMerkle, 1);
+    auto merkle = make_registered_signer(pki, "M", 1, SignatureAlgorithm::kMerkleWots, 1);
     auto fast = make_registered_signer(pki, "F", 1, SignatureAlgorithm::kFast);
     const util::Bytes msg = util::to_bytes("m");
     // A fast MAC can never satisfy the Merkle verifier and vice versa.

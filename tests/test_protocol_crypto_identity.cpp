@@ -84,29 +84,25 @@ protocol::ProtocolConfig identity_config(crypto::SignatureAlgorithm algorithm) {
 }
 
 TEST(ProtocolCryptoIdentity, ScalarInlineEqualsSimdParallel) {
-    for (const auto algorithm : {crypto::SignatureAlgorithm::kMerkle,
-                                 crypto::SignatureAlgorithm::kMerkleWots}) {
-        auto config = identity_config(algorithm);
+    auto config = identity_config(crypto::SignatureAlgorithm::kMerkleWots);
 
-        RunArtifacts baseline;
-        {
-            ScopedBackend scalar("scalar");
-            config.crypto_keygen_jobs = 1;
-            baseline = capture_run(config);
-        }
-        ASSERT_FALSE(baseline.trace.empty());
-        ASSERT_FALSE(baseline.public_keys.empty());
-
-        RunArtifacts fast;
-        {
-            ScopedBackend best("auto");
-            config.crypto_keygen_jobs = 8;
-            fast = capture_run(config);
-        }
-
-        EXPECT_EQ(baseline, fast) << "algorithm=" << static_cast<int>(algorithm)
-                                  << " backend=" << crypto::sha256_backend();
+    RunArtifacts baseline;
+    {
+        ScopedBackend scalar("scalar");
+        config.crypto_keygen_jobs = 1;
+        baseline = capture_run(config);
     }
+    ASSERT_FALSE(baseline.trace.empty());
+    ASSERT_FALSE(baseline.public_keys.empty());
+
+    RunArtifacts fast;
+    {
+        ScopedBackend best("auto");
+        config.crypto_keygen_jobs = 8;
+        fast = capture_run(config);
+    }
+
+    EXPECT_EQ(baseline, fast) << "backend=" << crypto::sha256_backend();
 }
 
 // Deferred batch signature verification must be OBSERVABLY IDENTICAL to

@@ -149,7 +149,7 @@ TEST_P(HonestRun, TwoProcessorsMinimal) {
 TEST_P(HonestRun, MerkleSignaturesEndToEnd) {
     // Same run with the real hash-based signature scheme.
     auto config = honest_config(GetParam(), 0.25, {1.0, 2.0});
-    config.signature_algorithm = crypto::SignatureAlgorithm::kMerkle;
+    config.signature_algorithm = crypto::SignatureAlgorithm::kMerkleWots;
     config.mss_height = 3;
     const auto outcome = run_protocol(config);
     EXPECT_FALSE(outcome.terminated_early);

@@ -134,18 +134,12 @@ TEST_P(LatencySweep, DeviantsCaughtUnderLatency) {
 class SignatureSweep : public ::testing::TestWithParam<crypto::SignatureAlgorithm> {};
 
 INSTANTIATE_TEST_SUITE_P(Schemes, SignatureSweep,
-                         ::testing::Values(crypto::SignatureAlgorithm::kMerkle,
-                                           crypto::SignatureAlgorithm::kMerkleWots,
+                         ::testing::Values(crypto::SignatureAlgorithm::kMerkleWots,
                                            crypto::SignatureAlgorithm::kFast),
                          [](const auto& param_info) -> std::string {
-                             switch (param_info.param) {
-                                 case crypto::SignatureAlgorithm::kMerkle:
-                                     return "Merkle";
-                                 case crypto::SignatureAlgorithm::kMerkleWots:
-                                     return "MerkleWots";
-                                 default:
-                                     return "Fast";
-                             }
+                             return param_info.param == crypto::SignatureAlgorithm::kMerkleWots
+                                        ? "MerkleWots"
+                                        : "Fast";
                          });
 
 TEST_P(SignatureSweep, OutcomesIdenticalAcrossSchemes) {

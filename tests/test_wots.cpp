@@ -73,10 +73,6 @@ TEST(Wots, SerializationRoundTrip) {
     EXPECT_FALSE(WotsKeyPair::Signature::deserialize(util::Bytes(10, 0)).has_value());
 }
 
-TEST(Wots, SignatureMuchSmallerThanLamport) {
-    EXPECT_LT(WotsKeyPair::kChains * 32, 2 * 256 * 32 / 7);  // < 1/7 the size
-}
-
 TEST(Wots, ManyMessages) {
     // One-time keys, but signing different messages with different keys must
     // all verify (exercise many digit patterns).

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # tools/ci/check.sh — the one-command verification entry point:
 #
-#   configure -> build -> ctest (tier-1) -> perfbench selftest -> dlsbl_lint
+#   configure -> build -> ctest (tier-1) -> native-arch payment rows
+#             -> perfbench selftest -> dlsbl_lint
 #             -> clang-tidy* -> cppcheck*                   (*when on PATH)
 #
 # Static and dynamic analysis share this entry point: set DLSBL_SANITIZE to
@@ -21,8 +22,8 @@
 #   CLANG_TIDY=0     skip clang-tidy even if installed
 #   CPPCHECK=0       skip cppcheck even if installed
 #
-# Exit: non-zero if configure, build, ctest, the perfbench selftest, or
-# dlsbl_lint fail. clang-tidy and cppcheck results are reported but
+# Exit: non-zero if configure, build, ctest, the native-arch payment rows,
+# the perfbench selftest, or dlsbl_lint fail. clang-tidy and cppcheck results are reported but
 # advisory (their availability varies across machines; the gating analyses
 # are compiled into the tree).
 set -euo pipefail
@@ -96,6 +97,17 @@ step "payment rows (bit-exact)"
 # logs on its own line.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '(PaymentRowsBitExact|asan\..*PaymentRowsBitExact)'
+
+step "native-arch payment bits ($BUILD_DIR-native)"
+# The payment-row suite again, built with -march=native: its bit-exact
+# comparisons fail if a*b + c is contracted into an FMA, which the
+# -ffp-contract=off in the top-level CMakeLists.txt forbids. The portable
+# build above has no FMA to contract into, so only this stage can catch a
+# lost flag, and only on a host with FMA; elsewhere it passes either way.
+cmake -B "$BUILD_DIR-native" -S . -DDLSBL_NATIVE_ARCH=ON \
+    -DDLSBL_BUILD_BENCHMARKS=OFF -DDLSBL_BUILD_EXAMPLES=OFF -DDLSBL_BUILD_TOOLS=OFF
+cmake --build "$BUILD_DIR-native" -j "$JOBS" --target test_property_payment_rows
+"$BUILD_DIR-native/tests/test_property_payment_rows"
 
 step "perfbench selftest (benchmark build gate)"
 # perfbench (perfbench/CMakeLists.txt) compiles src/ straight into its own
