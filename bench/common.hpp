@@ -15,12 +15,10 @@
 #include <cstring>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "exec/executor.hpp"
-#include "obs/exporter.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 
@@ -208,33 +206,6 @@ template <typename Fn>
 auto run_parallel(const exec::ExecutorOptions& options, std::size_t count, Fn&& body) {
     exec::RunExecutor executor(options);
     return executor.map(count, std::forward<Fn>(body));
-}
-
-// Live telemetry opt-in for long-running benches: `--metrics-port P` starts
-// an HTTP exporter on 127.0.0.1:P (0 = ephemeral, printed on stderr) for the
-// bench's lifetime; pass the returned exporter into parallel_options()'s
-// result (options.exporter = e.get()) so in-flight runs appear on /metrics.
-// Returns nullptr when the flag is absent or the bind fails — purely
-// observational, so the bench proceeds either way.
-inline std::unique_ptr<obs::MetricsExporter> metrics_exporter_from_args(int argc,
-                                                                        char** argv) {
-    std::unique_ptr<obs::MetricsExporter> exporter;
-    ArgSpec spec;
-    spec.option("--metrics-port", [&exporter](const std::string& value) {
-        obs::ExporterOptions options;
-        options.port = static_cast<std::uint16_t>(std::strtoul(value.c_str(), nullptr, 10));
-        auto candidate = std::make_unique<obs::MetricsExporter>(options);
-        if (!candidate->start()) {
-            std::fprintf(stderr, "bench: cannot bind metrics port %s\n", value.c_str());
-            return true;  // purely observational: the bench proceeds anyway
-        }
-        std::fprintf(stderr, "metrics: http://127.0.0.1:%u/metrics\n",
-                     static_cast<unsigned>(candidate->port()));
-        exporter = std::move(candidate);
-        return true;
-    });
-    spec.scan(argc, argv);
-    return exporter;
 }
 
 inline std::string fmt(const char* format, double a) {

@@ -196,12 +196,8 @@ Throughput message_throughput(std::size_t verify_batch, std::size_t trials) {
 
 int main(int argc, char** argv) {
     const auto json_out = bench::json_out_from_args(&argc, argv);
-    // `--metrics-port P` serves live /metrics (global + in-flight per-run
-    // registries) for the duration of the bench; no effect on artifacts.
-    const auto exporter = bench::metrics_exporter_from_args(argc, argv);
     bench::Report report("E22 (extension): wall-clock overhead of the mechanism");
-    auto options = bench::parallel_options(argc, argv, /*root_seed=*/22);
-    options.exporter = exporter.get();
+    const auto options = bench::parallel_options(argc, argv, /*root_seed=*/22);
 
     // --smoke: only the message-path series, at a budget fit for ctest.
     // The sim grid and the keygen-bound wall-clock sections are full-length

@@ -6,7 +6,7 @@
 //             [--fine F] [--seed S] [--trace] [--churn-plan SPEC]
 //             [--repeat N] [--jobs N] [--log-level off|error|warn|info|debug]
 //             [--jsonl-out <file.jsonl>] [--trace-out <file.json>]
-//             [--metrics-out <file.txt>] [--metrics-port P] [--profile]
+//             [--metrics-out <file.txt>] [--profile]
 //
 // A bad flag value, or a config ProtocolConfig::validate() rejects (e.g.
 // --w 1, --blocks 0), exits with status 2 and names the error on stderr.
@@ -40,8 +40,6 @@
 #include "exec/executor.hpp"
 #include "obs/catapult.hpp"
 #include "obs/event.hpp"
-#include "obs/exporter.hpp"
-#include "obs/manifest.hpp"
 #include "obs/profiler.hpp"
 #include "protocol/detail/run_internals.hpp"
 #include "protocol/runner.hpp"
@@ -109,9 +107,6 @@ std::vector<double> parse_doubles(const std::string& csv) {
         "                 [--trace-out FILE]   Chrome trace-event JSON\n"
         "                                      (open in chrome://tracing or Perfetto)\n"
         "                 [--metrics-out FILE] Prometheus-style metrics dump\n"
-        "                 [--metrics-port P]   serve /metrics, /healthz, /runs on\n"
-        "                                      127.0.0.1:P while running (0 = pick\n"
-        "                                      an ephemeral port, printed on stderr)\n"
         "                 [--profile]          wall-clock scope profile on stderr\n");
     std::exit(2);
 }
@@ -125,8 +120,6 @@ int run_cli(int argc, char** argv) {
     config.signature_algorithm = crypto::SignatureAlgorithm::kFast;
     bool show_trace = false;
     bool profile = false;
-    bool metrics_port_set = false;
-    long metrics_port = 0;
     std::size_t repeat = 1;
     std::size_t jobs = exec::RunExecutor::jobs_from_args(0, nullptr, 1);
     std::string jsonl_out, trace_out, metrics_out;
@@ -215,11 +208,6 @@ int run_cli(int argc, char** argv) {
         metrics_out = value;
         return true;
     });
-    spec.option("--metrics-port", [&](const std::string& value) {
-        metrics_port_set = true;
-        metrics_port = std::strtol(value.c_str(), nullptr, 10);
-        return metrics_port >= 0 && metrics_port <= 65535;
-    });
     spec.flag("--profile", [&] { profile = true; });
     spec.flag("--help", [] { usage(); });
     spec.alias("-h", "--help");
@@ -252,35 +240,7 @@ int run_cli(int argc, char** argv) {
     // exercises the same submission path as the sweeps. With --repeat N,
     // run i gets seed derive_seed(--seed, i); the trace/metrics artifacts
     // describe run 0 to keep their single-run meaning.
-    // Live telemetry: serve /metrics, /healthz and /runs for the lifetime of
-    // the batch. Ephemeral ports (--metrics-port 0) are printed so scrapers
-    // can find them.
-    std::unique_ptr<obs::MetricsExporter> exporter;
-    if (metrics_port_set) {
-        obs::ExporterOptions exporter_options;
-        exporter_options.port = static_cast<std::uint16_t>(metrics_port);
-        exporter = std::make_unique<obs::MetricsExporter>(exporter_options);
-        if (!exporter->start()) {
-            std::fprintf(stderr, "cannot bind metrics port %ld\n", metrics_port);
-            return 2;
-        }
-        std::fprintf(stderr, "metrics: http://127.0.0.1:%u/metrics\n",
-                     static_cast<unsigned>(exporter->port()));
-        obs::RunManifest manifest;
-        manifest.set("tool", "dlsbl_cli")
-            .set("kind", dlt::to_string(config.kind))
-            .set_uint("m", config.true_w.size())
-            .set_uint("blocks", config.block_count)
-            .set_uint("seed", config.seed)
-            .set_uint("repeat", repeat);
-        exporter->record_run_manifest("cli", manifest.to_json());
-    }
-
-    exec::ExecutorOptions exec_options;
-    exec_options.jobs = jobs;
-    exec_options.root_seed = config.seed;
-    exec_options.exporter = exporter.get();
-    exec::RunExecutor executor(exec_options);
+    exec::RunExecutor executor({.jobs = jobs, .root_seed = config.seed});
 
     std::string trace_dump;
     const auto outcomes = executor.map(repeat, [&](exec::RunSlot& slot) {
@@ -288,11 +248,6 @@ int run_cli(int argc, char** argv) {
         run_config.seed = (repeat == 1) ? config.seed : slot.seed();
         return protocol::run_protocol(
             run_config, [&](const protocol::RunInternals& internals) {
-                // Fold the run's protocol counters and makespan histogram
-                // into the slot: live scrapes label them per run, and the
-                // executor's submission-order merge lands them in the
-                // global registry deterministically.
-                slot.metrics().merge_from(internals.context.metrics_registry());
                 if (slot.index() != 0) return;
                 if (show_trace) trace_dump = internals.trace().render();
                 if (!trace_out.empty() &&

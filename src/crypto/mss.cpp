@@ -72,8 +72,7 @@ MssKeyPair::MssKeyPair(const Digest& seed, unsigned height, std::size_t keygen_j
     // submission order, so the key material is byte-identical at any job
     // count; one worker runs inline with no threads spawned.
     exec::RunExecutor pool({.jobs = std::max<std::size_t>(keygen_jobs, 1),
-                            .root_seed = 0,
-                            .capture_events = true});
+                            .root_seed = 0});
     constexpr std::size_t kBatch = WotsKeyPair::kBatchLeaves;
     const auto batches =
         pool.map((leaf_count + kBatch - 1) / kBatch, [&](exec::RunSlot& slot) {

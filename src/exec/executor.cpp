@@ -1,53 +1,16 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
+#include <exception>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 
+#include "obs/event.hpp"
+
 namespace dlsbl::exec {
-
-namespace {
-
-// Mutex-protected per-worker deque. A lock per deque (not per pool) keeps
-// contention at "one owner + occasional thief" levels, which is invisible
-// next to a protocol run's cost; TSan-clean by construction, unlike a
-// hand-rolled Chase-Lev deque.
-class TaskDeque {
- public:
-    void push_back(std::size_t task) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        tasks_.push_back(task);
-    }
-
-    // Owner end: pops the task dealt earliest, preserving submission-order
-    // locality within a worker.
-    bool pop_front(std::size_t& task) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (tasks_.empty()) return false;
-        task = tasks_.front();
-        tasks_.pop_front();
-        return true;
-    }
-
-    // Thief end.
-    bool steal_back(std::size_t& task) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (tasks_.empty()) return false;
-        task = tasks_.back();
-        tasks_.pop_back();
-        return true;
-    }
-
- private:
-    std::mutex mutex_;
-    std::deque<std::size_t> tasks_;
-};
-
-}  // namespace
 
 RunExecutor::RunExecutor(ExecutorOptions options) : options_(options) {
     jobs_ = options_.jobs;
@@ -76,39 +39,17 @@ void RunExecutor::run_tasks(std::size_t count,
                             const std::function<void(RunSlot&)>& body) {
     if (count == 0) return;
 
-    // Per-task artifacts, indexed by submission order.
-    std::vector<std::unique_ptr<RunSlot>> slots;
-    slots.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        slots.push_back(
-            std::make_unique<RunSlot>(i, util::derive_seed(options_.root_seed, i)));
-    }
+    // Per-task event captures, indexed by submission order.
     std::vector<obs::EventBuffer> buffers(count);
-
     auto run_one = [&](std::size_t task) {
-        obs::EventBuffer* capture = options_.capture_events ? &buffers[task] : nullptr;
-        obs::EventBuffer* previous = obs::EventLog::set_thread_buffer(capture);
-        const std::string run_name = "run-" + std::to_string(task);
-        // Liveness stamps: a scrape that lands while the body is still
-        // executing sees a per-run series even before the body publishes
-        // anything into the slot registry. Gauges add under merge, so the
-        // resets keep the global dlsbl_run_active at zero after the batch.
-        auto& slot_metrics = slots[task]->metrics();
-        slot_metrics.counter("dlsbl_run_started").inc();
-        slot_metrics.gauge("dlsbl_run_active").set(1.0);
-        if (options_.exporter != nullptr) {
-            options_.exporter->attach_run(run_name, &slot_metrics);
-        }
+        RunSlot slot(task, util::derive_seed(options_.root_seed, task));
+        obs::EventBuffer* previous = obs::EventLog::set_thread_buffer(&buffers[task]);
         try {
-            body(*slots[task]);
+            body(slot);
         } catch (...) {
-            slot_metrics.gauge("dlsbl_run_active").set(0.0);
-            if (options_.exporter != nullptr) options_.exporter->detach_run(run_name);
             obs::EventLog::set_thread_buffer(previous);
             throw;
         }
-        slot_metrics.gauge("dlsbl_run_active").set(0.0);
-        if (options_.exporter != nullptr) options_.exporter->detach_run(run_name);
         obs::EventLog::set_thread_buffer(previous);
     };
 
@@ -116,21 +57,12 @@ void RunExecutor::run_tasks(std::size_t count,
     if (workers <= 1) {
         for (std::size_t i = 0; i < count; ++i) run_one(i);
     } else {
-        // Deal tasks round-robin so every deque starts with an even share;
-        // stealing rebalances whatever the deal got wrong.
-        std::vector<TaskDeque> deques(workers);
-        for (std::size_t i = 0; i < count; ++i) deques[i % workers].push_back(i);
-
+        // Every worker claims the next unclaimed task until none is left.
+        std::atomic<std::size_t> next{0};
         std::exception_ptr first_error;
         std::mutex error_mutex;
-        auto worker_loop = [&](std::size_t me) {
-            for (;;) {
-                std::size_t task = 0;
-                bool found = deques[me].pop_front(task);
-                for (std::size_t k = 1; !found && k < workers; ++k) {
-                    found = deques[(me + k) % workers].steal_back(task);
-                }
-                if (!found) return;  // every deque empty: batch is drained
+        auto worker_loop = [&] {
+            for (std::size_t task = next++; task < count; task = next++) {
                 try {
                     run_one(task);
                 } catch (...) {
@@ -142,23 +74,16 @@ void RunExecutor::run_tasks(std::size_t count,
 
         std::vector<std::thread> threads;
         threads.reserve(workers - 1);
-        for (std::size_t t = 1; t < workers; ++t) {
-            threads.emplace_back(worker_loop, t);
-        }
-        worker_loop(0);
+        for (std::size_t t = 1; t < workers; ++t) threads.emplace_back(worker_loop);
+        worker_loop();
         for (auto& thread : threads) thread.join();
         if (first_error) std::rethrow_exception(first_error);
     }
 
-    // Deterministic merge: replay events and fold per-run metrics into the
-    // global registry in submission order, independent of which worker ran
-    // what when.
+    // Deterministic replay: events reach the process sinks in submission
+    // order, independent of which worker ran what when.
     auto& log = obs::EventLog::instance();
-    auto& global = obs::MetricsRegistry::global();
-    for (std::size_t i = 0; i < count; ++i) {
-        if (options_.capture_events) log.replay(buffers[i]);
-        global.merge_from(slots[i]->metrics());
-    }
+    for (const auto& buffer : buffers) log.replay(buffer);
 }
 
 }  // namespace dlsbl::exec

@@ -14,28 +14,21 @@
 //     (EventLog::set_thread_buffer) and replayed through the process sinks
 //     in submission order after the batch, so JSONL artifacts are
 //     byte-identical at --jobs 1 and --jobs 64;
-//   * every run gets a private MetricsRegistry (RunSlot::metrics()) that is
-//     merged into MetricsRegistry::global() in submission order once the
-//     batch completes (run_protocol's own global counters are commutative
-//     atomic increments, so totals are schedule-independent too);
 //   * map() returns results indexed by submission order.
+// Runs that count into MetricsRegistry::global() use commutative atomic
+// increments, so its snapshot is schedule-independent too.
 //
-// Scheduling is work-stealing: tasks are dealt round-robin onto per-worker
-// deques; a worker drains its own deque from the front and steals from the
-// back of its neighbours' when empty, so a handful of slow runs (large m,
-// hash-heavy signatures) cannot idle the rest of the pool.
+// Scheduling: workers claim tasks in submission order from one shared
+// atomic cursor, so a handful of slow runs (large m, hash-heavy
+// signatures) hold up only the workers running them.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <vector>
 
-#include "obs/event.hpp"
-#include "obs/exporter.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace dlsbl::exec {
@@ -46,21 +39,10 @@ struct ExecutorOptions {
     std::size_t jobs = 1;
     // Root of the per-run seed derivation.
     std::uint64_t root_seed = 1;
-    // When false, runs emit straight to the process sinks (interleaved,
-    // nondeterministic order under jobs > 1). Leave on unless you are
-    // debugging and want to watch events live.
-    bool capture_events = true;
-    // Optional live-telemetry hook: each run's private registry is attached
-    // to the exporter as "run-<index>" while the run executes (and detached
-    // before the registry dies), so a concurrent /metrics scrape sees
-    // per-run counters mid-batch. Purely observational — artifacts stay
-    // byte-identical with or without it. Must outlive the executor calls.
-    obs::MetricsExporter* exporter = nullptr;
 };
 
-// Everything one run is allowed to touch: its identity (submission index),
-// its derived seed, and a private metrics registry merged into the global
-// one in submission order.
+// Everything one run is allowed to touch: its identity (submission index)
+// and its derived seed.
 class RunSlot {
  public:
     RunSlot(std::size_t index, std::uint64_t seed) : index_(index), seed_(seed) {}
@@ -71,12 +53,10 @@ class RunSlot {
     [[nodiscard]] util::Xoshiro256 rng() const noexcept {
         return util::Xoshiro256{seed_};
     }
-    [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
  private:
     std::size_t index_;
     std::uint64_t seed_;
-    obs::MetricsRegistry metrics_;
 };
 
 class RunExecutor {

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -27,8 +26,6 @@ void Histogram::observe(double value) {
     }
     const std::lock_guard<std::mutex> lock(mutex_);
     ++bucket_counts_[bucket];
-    if (count_ == 0 || value < min_) min_ = value;
-    if (count_ == 0 || value > max_) max_ = value;
     ++count_;
     sum_ += value;
 }
@@ -52,59 +49,6 @@ std::uint64_t Histogram::count() const noexcept {
 double Histogram::sum() const noexcept {
     const std::lock_guard<std::mutex> lock(mutex_);
     return sum_;
-}
-
-double Histogram::min() const noexcept {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return min_;
-}
-
-double Histogram::max() const noexcept {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return max_;
-}
-
-double Histogram::quantile(double q) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ == 0) return 0.0;
-    if (q <= 0.0) return min_;
-    if (q > 1.0) q = 1.0;
-    const double rank = q * static_cast<double>(count_);
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < bucket_counts_.size(); ++i) {
-        const std::uint64_t below = cumulative;
-        cumulative += bucket_counts_[i];
-        if (static_cast<double>(cumulative) < rank) continue;
-        if (i == upper_bounds_.size()) return max_;  // rank fell in +Inf
-        const double upper = std::min(upper_bounds_[i], max_);
-        const double lower =
-            i == 0 ? min_ : std::max(upper_bounds_[i - 1], min_);
-        if (bucket_counts_[i] == 0) return std::min(upper, max_);
-        const double fraction =
-            (rank - static_cast<double>(below)) / static_cast<double>(bucket_counts_[i]);
-        return lower + (upper - lower) * fraction;
-    }
-    return max_;
-}
-
-void Histogram::merge_from(const Histogram& other) {
-    if (other.upper_bounds_ != upper_bounds_) {
-        throw std::invalid_argument("Histogram::merge_from: bucket bounds differ");
-    }
-    // Both sides locked via std::lock's deadlock-avoidance ordering: two
-    // threads merging the same pair in opposite directions must not hold
-    // one mutex each while waiting for the other (analyzer lock-order pass;
-    // pinned by MetricsConcurrency.CrossMergeNoDeadlock).
-    const std::scoped_lock both(other.mutex_, mutex_);
-    for (std::size_t i = 0; i < bucket_counts_.size(); ++i) {
-        bucket_counts_[i] += other.bucket_counts_[i];
-    }
-    if (other.count_ > 0) {
-        if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-        if (count_ == 0 || other.max_ > max_) max_ = other.max_;
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -152,20 +96,11 @@ void MetricsRegistry::set_help(const std::string& name, std::string help) {
 }
 
 std::string MetricsRegistry::prometheus_text() const {
-    return prometheus_text(PrometheusOptions{});
-}
-
-std::string MetricsRegistry::prometheus_text(const PrometheusOptions& options) const {
-    const std::string extra = render_labels(options.extra_labels);
-    // Splices `more` (already rendered, or a raw k="v" fragment) into an
-    // existing rendered label set.
+    // Splices a raw k="v" fragment into an already rendered label set.
     auto splice = [](const std::string& labels, const std::string& fragment) {
-        if (fragment.empty()) return labels;
         if (labels.empty()) return "{" + fragment + '}';
         return labels.substr(0, labels.size() - 1) + ',' + fragment + '}';
     };
-    const std::string extra_fragment =
-        extra.empty() ? std::string() : extra.substr(1, extra.size() - 2);
 
     const std::lock_guard<std::mutex> lock(mutex_);
     std::string out;
@@ -178,38 +113,29 @@ std::string MetricsRegistry::prometheus_text(const PrometheusOptions& options) c
     for (const auto& [name, series] : counters_) {
         header(name, "counter");
         for (const auto& [labels, counter] : series) {
-            out += name + splice(labels, extra_fragment) + ' ' +
-                   std::to_string(counter.value()) + '\n';
+            out += name + labels + ' ' + std::to_string(counter.value()) + '\n';
         }
     }
     for (const auto& [name, series] : gauges_) {
         header(name, "gauge");
         for (const auto& [labels, gauge] : series) {
-            out += name + splice(labels, extra_fragment) + ' ' +
-                   json_number(gauge.value()) + '\n';
+            out += name + labels + ' ' + json_number(gauge.value()) + '\n';
         }
     }
     for (const auto& [name, series] : histograms_) {
         header(name, "histogram");
         for (const auto& [labels, histogram] : series) {
-            const std::string base = splice(labels, extra_fragment);
             const auto cumulative = histogram.cumulative_counts();
             const auto& bounds = histogram.upper_bounds();
             for (std::size_t i = 0; i < cumulative.size(); ++i) {
                 const std::string le =
                     i < bounds.size() ? json_number(bounds[i]) : std::string("+Inf");
-                out += name + "_bucket" + splice(base, "le=\"" + le + "\"") + ' ' +
+                out += name + "_bucket" + splice(labels, "le=\"" + le + "\"") + ' ' +
                        std::to_string(cumulative[i]) + '\n';
             }
-            out += name + "_sum" + base + ' ' + json_number(histogram.sum()) + '\n';
-            out += name + "_count" + base + ' ' + std::to_string(histogram.count()) +
+            out += name + "_sum" + labels + ' ' + json_number(histogram.sum()) + '\n';
+            out += name + "_count" + labels + ' ' + std::to_string(histogram.count()) +
                    '\n';
-            // Summary-style convenience lines (scrape dashboards want p95
-            // without a histogram_quantile() recording rule).
-            for (const double q : options.quantiles) {
-                out += name + splice(base, "quantile=\"" + json_number(q) + "\"") +
-                       ' ' + json_number(histogram.quantile(q)) + '\n';
-            }
         }
     }
     return out;
@@ -242,36 +168,6 @@ std::string MetricsRegistry::json_snapshot() const {
     }
     out += '}';
     return out;
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-    if (&other == this) return;
-    // See Histogram::merge_from: scoped_lock orders the pair atomically so
-    // concurrent opposite-direction merges cannot deadlock.
-    const std::scoped_lock both(other.mutex_, mutex_);
-    for (const auto& [name, series] : other.counters_) {
-        for (const auto& [labels, counter] : series) {
-            counters_[name][labels].inc(counter.value());
-        }
-    }
-    for (const auto& [name, series] : other.gauges_) {
-        for (const auto& [labels, gauge] : series) {
-            gauges_[name][labels].add(gauge.value());
-        }
-    }
-    for (const auto& [name, series] : other.histograms_) {
-        for (const auto& [labels, histogram] : series) {
-            auto& by_labels = histograms_[name];
-            const auto it = by_labels.find(labels);
-            if (it == by_labels.end()) {
-                by_labels.try_emplace(labels, histogram.upper_bounds())
-                    .first->second.merge_from(histogram);
-            } else {
-                it->second.merge_from(histogram);
-            }
-        }
-    }
-    for (const auto& [name, help] : other.help_) help_.emplace(name, help);
 }
 
 void MetricsRegistry::clear() {

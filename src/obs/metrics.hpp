@@ -14,8 +14,8 @@
 // node-based maps: references returned by counter()/gauge()/histogram()
 // stay valid for the registry's lifetime.
 //
-// Thread safety: instrument lookup/creation and the export/clear/merge
-// paths are guarded by an internal mutex; Counter and Gauge updates are
+// Thread safety: instrument lookup/creation and the export/clear paths
+// are guarded by an internal mutex; Counter and Gauge updates are
 // lock-free atomics and Histogram::observe takes a per-histogram lock, so
 // concurrent runs (exec::RunExecutor workers) may hammer the global
 // registry without data races. Counter increments commute, which is what
@@ -80,26 +80,6 @@ class Histogram {
     [[nodiscard]] std::vector<std::uint64_t> cumulative_counts() const;
     [[nodiscard]] std::uint64_t count() const noexcept;
     [[nodiscard]] double sum() const noexcept;
-    // Smallest / largest observed value (0 when empty).
-    [[nodiscard]] double min() const noexcept;
-    [[nodiscard]] double max() const noexcept;
-
-    // Bucket-interpolated quantile estimate (Prometheus histogram_quantile
-    // semantics, tightened with the tracked min/max):
-    //   * rank q*count lands in the first bucket whose cumulative count
-    //     reaches it; the estimate interpolates linearly inside that bucket;
-    //   * the first bucket's lower edge is the observed min (not 0), and a
-    //     rank landing in the +Inf bucket returns the observed max, so the
-    //     estimate never leaves [min, max].
-    // q outside [0,1] is clamped; an empty histogram returns 0.
-    [[nodiscard]] double quantile(double q) const;
-    [[nodiscard]] double p50() const { return quantile(0.50); }
-    [[nodiscard]] double p95() const { return quantile(0.95); }
-    [[nodiscard]] double p99() const { return quantile(0.99); }
-
-    // Adds `other`'s observations bucket-by-bucket (bounds must match; used
-    // by MetricsRegistry::merge_from).
-    void merge_from(const Histogram& other);
 
  private:
     std::vector<double> upper_bounds_;
@@ -107,8 +87,6 @@ class Histogram {
     std::vector<std::uint64_t> bucket_counts_;  // per-bucket, +Inf last
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
-    double min_ = 0.0;  // valid only when count_ > 0
-    double max_ = 0.0;
 };
 
 class MetricsRegistry {
@@ -126,32 +104,12 @@ class MetricsRegistry {
     // Optional HELP text attached to a metric name.
     void set_help(const std::string& name, std::string help);
 
-    // Knobs for the exporter-facing rendering. Defaults reproduce the plain
-    // prometheus_text() byte-for-byte.
-    struct PrometheusOptions {
-        // Appended to every series' label set (e.g. {{"run","sweep-3"}} for
-        // a per-run registry scraped alongside the global one).
-        Labels extra_labels;
-        // When non-empty, each histogram also renders summary-style
-        // `name{...,quantile="0.95"} v` gauge lines (bucket-interpolated;
-        // see Histogram::quantile). Values must lie in [0,1].
-        std::vector<double> quantiles;
-    };
-
     // Prometheus text exposition format; deterministic ordering.
     [[nodiscard]] std::string prometheus_text() const;
-    [[nodiscard]] std::string prometheus_text(const PrometheusOptions& options) const;
 
     // Flat JSON object {"name{labels}": value, ...}; histograms contribute
     // _count and _sum entries. Deterministic ordering.
     [[nodiscard]] std::string json_snapshot() const;
-
-    // Accumulates every instrument of `other` into this registry (counters
-    // add, gauges add, histograms merge bucket-wise when bounds agree and
-    // are adopted wholesale when the instrument is new here). The executor
-    // merges per-run registries into the global one in submission order, so
-    // the merged snapshot is independent of scheduling.
-    void merge_from(const MetricsRegistry& other);
 
     void clear();
 

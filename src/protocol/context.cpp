@@ -168,6 +168,7 @@ void RunContext::post_fine(double predicted_compensation_sum) {
     if (fine_posted_) return;
     fine_posted_ = true;
     fine_amount_ = config_.fine_policy.fine_for(predicted_compensation_sum);
+    if (referee_ != nullptr) referee_->on_fine_posted();
 }
 
 void RunContext::ship_load(const std::string& from, const std::string& to,

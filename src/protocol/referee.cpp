@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "dlt/closed_form.hpp"
 #include "mech/dls_bl.hpp"
@@ -33,6 +34,7 @@ RefereeCore::RefereeCore(RunContext& context)
       ctx_(context),
       pending_churn_bids_(context.config().verify_batch, context.processor_names()),
       pending_payments_(context.config().verify_batch, context.processor_names()),
+      parked_accusers_(context.processor_count(), 0),
       submitted_(context.processor_count(), 0) {
     register_handlers();
     if (ctx_.churn_enabled()) {
@@ -115,6 +117,17 @@ void RefereeCore::on_message(const WireMessage& message) {
 void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
     flush_deferred();  // verdict bytes must not depend on queued envelopes
     if (verdict_issued_) return;
+    if (!ctx_.fine_posted()) {
+        // Every verdict levies F, which is posted once bids are public; under
+        // churn that waits for the bid deadline. Park the accusation, one
+        // per accuser so a flood parks at most m, until then.
+        const auto accuser = ctx_.find_index(message.from);
+        if (accuser && parked_accusers_[*accuser] == 0) {
+            parked_accusers_[*accuser] = 1;
+            parked_accusations_.push_back(message);
+        }
+        return;
+    }
     const auto evidence = wire::DoubleBidEvidenceView::parse(message.payload());
     if (!evidence) return;
     const std::string& accuser = message.from;
@@ -146,6 +159,16 @@ void RefereeCore::handle_double_bid_accusation(const WireMessage& message) {
         issue_verdict({accuser}, "unfounded double-bid accusation by " + accuser,
                       /*terminate=*/true);
     }
+}
+
+void RefereeCore::on_fine_posted() {
+    if (parked_accusations_.empty()) return;
+    ctx_.clock().call_after(0.0, [this] {
+        if (ctx_.terminated()) return;
+        const std::vector<WireMessage> parked = std::move(parked_accusations_);
+        parked_accusations_.clear();
+        for (const auto& message : parked) handle_double_bid_accusation(message);
+    });
 }
 
 // ---- offense (ii): incorrect load assignments ------------------------------
@@ -274,9 +297,9 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
     registry.counter(kVerifyCacheMetric, {{"outcome", "miss"}})
         .inc(cache_after.misses - cache_before.misses);
     if (deviants.empty()) {
-        // A submission must cover every processor to be usable.
+        // A submission must cover every bidder to be usable.
         for (const auto& [submitter, body] : bid_vector_responses_) {
-            if (body.bids.size() != ctx_.processor_count()) deviants.insert(submitter);
+            if (!covers_bidders(body)) deviants.insert(submitter);
         }
     }
     if (deviants.empty()) {
@@ -284,7 +307,9 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
         for (const auto& [processor, entry] : canonical) {
             verified_bids_[processor] = entry.second;
         }
-        if (verified_bids_.size() != ctx_.processor_count()) {
+        // m entries can still miss a processor by repeating another. (Under
+        // churn, covers_bidders counted distinct bidders already.)
+        if (!ctx_.churn_enabled() && verified_bids_.size() != ctx_.processor_count()) {
             // Some processor's bid is missing entirely; blame submitters.
             for (const auto& name : bid_vector_expected_) deviants.insert(name);
         }
@@ -293,19 +318,42 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
     return deviants;
 }
 
+bool RefereeCore::covers_bidders(const BidVectorBody& body) const {
+    if (!ctx_.churn_enabled()) return body.bids.size() == ctx_.processor_count();
+    // A peer may also hold a late bid of an excluded processor; only the
+    // active bidders count.
+    std::set<std::string_view> active;
+    for (const auto& entry : body.bids) {
+        if (!churn_excluded_.contains(entry.signer)) active.insert(entry.signer);
+    }
+    return active.size() == churn_active_count();
+}
+
+std::vector<std::size_t> RefereeCore::prescribed_counts(
+    const std::map<std::string, double>& bids) const {
+    std::vector<std::size_t> active;
+    std::vector<double> active_bids;
+    for (std::size_t i = 0; i < ctx_.processor_count(); ++i) {
+        const auto& processor = ctx_.processor_names()[i];
+        if (churn_excluded_.contains(processor)) continue;
+        active.push_back(i);
+        active_bids.push_back(bids.at(processor));
+    }
+    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, active_bids};
+    const auto alpha = dlt::optimal_allocation(instance);
+    const auto counts = DataSet::blocks_for_allocation(ctx_.config().block_count, alpha);
+    std::vector<std::size_t> full(ctx_.processor_count(), 0);
+    for (std::size_t j = 0; j < active.size(); ++j) full[active[j]] = counts[j];
+    return full;
+}
+
 void RefereeCore::adjudicate_alloc_complaint() {
     const auto& complaint = *open_complaint_;
     const std::string& lo = ctx_.load_origin();
     const std::string& complainant = complaint.complainant;
 
     // Reconstruct the prescribed assignment from the verified bids.
-    std::vector<double> bids(ctx_.processor_count());
-    for (std::size_t i = 0; i < bids.size(); ++i) {
-        bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
-    }
-    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, bids};
-    const auto alpha = dlt::optimal_allocation(instance);
-    const auto counts = DataSet::blocks_for_allocation(ctx_.config().block_count, alpha);
+    const auto counts = prescribed_counts(verified_bids_);
     const std::size_t expected = counts[ctx_.index_of(complainant)];
 
     // The shared bus is the witness (tamper-proof network, §4): what did the
@@ -533,13 +581,7 @@ void RefereeCore::evaluate_payments() {
 
 std::vector<double> RefereeCore::execution_values() const {
     const std::size_t m = ctx_.processor_count();
-    std::vector<double> bids(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
-    }
-    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, bids};
-    const auto alpha = dlt::optimal_allocation(instance);
-    const auto counts = DataSet::blocks_for_allocation(ctx_.config().block_count, alpha);
+    const auto counts = prescribed_counts(verified_bids_);
     std::vector<double> exec(m);
     for (std::size_t i = 0; i < m; ++i) {
         const auto& processor = ctx_.processor_names()[i];
@@ -548,7 +590,7 @@ std::vector<double> RefereeCore::execution_values() const {
         if (fraction > 0.0 && ctx_.meters().finished(processor)) {
             exec[i] = ctx_.meters().elapsed(processor) / fraction;
         } else {
-            exec[i] = bids[i];
+            exec[i] = verified_bids_.at(processor);
         }
     }
     return exec;
@@ -784,20 +826,7 @@ void RefereeCore::flush_deferred() {
 
 void RefereeCore::complete_churn_bidding() {
     churn_bids_complete_ = true;
-    std::vector<std::string> active;
-    std::vector<double> bids;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (churn_excluded_.contains(processor)) continue;
-        active.push_back(processor);
-        bids.push_back(churn_bids_.at(processor));
-    }
-    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, bids};
-    const auto alpha = dlt::optimal_allocation(instance);
-    const auto counts = DataSet::blocks_for_allocation(ctx_.config().block_count, alpha);
-    churn_counts_.assign(ctx_.processor_count(), 0);
-    for (std::size_t j = 0; j < active.size(); ++j) {
-        churn_counts_[ctx_.index_of(active[j])] = counts[j];
-    }
+    churn_counts_ = prescribed_counts(churn_bids_);
     if (!churn_watchdog_scheduled_) {
         churn_watchdog_scheduled_ = true;
         ctx_.clock().call_after(ctx_.config().churn_plan.policy.processing_grace,

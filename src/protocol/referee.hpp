@@ -36,6 +36,10 @@ class RefereeCore final : public Endpoint {
     // Invoked by the context when every processor's meter has stopped.
     void on_all_meters_done();
 
+    // Invoked by the context once the fine F is posted: double-bid
+    // accusations that arrived before it are judged in a zero-delay event.
+    void on_fine_posted();
+
     // Invoked by the context for each meter that stops after a terminating
     // verdict: the §4 termination rule pays commenced processors α_i w̃_i,
     // which is exactly the metered time φ_i — known only once they finish.
@@ -117,6 +121,13 @@ class RefereeCore final : public Endpoint {
     // (offense iv) and double-signed bids; fills verified_bids_ on success.
     // Returns deviants found (empty = clean).
     std::set<std::string> validate_bid_vectors();
+    // Does the vector hold a bid of every processor — under churn, of every
+    // processor the bid deadline did not exclude?
+    [[nodiscard]] bool covers_bidders(const BidVectorBody& body) const;
+    // Block counts of the allocation over `bids`, full size: excluded
+    // processors (churn mode) get 0 and need no bid.
+    [[nodiscard]] std::vector<std::size_t> prescribed_counts(
+        const std::map<std::string, double>& bids) const;
     void adjudicate_alloc_complaint();
     void evaluate_payments();
     void recompute_and_settle();
@@ -180,6 +191,10 @@ class RefereeCore final : public Endpoint {
     // counter, closed on resolution); invalid while no dispute is open.
     obs::SpanContext dispute_span_;
     std::optional<AllocComplaintBody> open_complaint_;
+    // Double-bid accusations that arrived before F was posted, at most one
+    // per accuser (parked_accusers_, by processor id), in arrival order.
+    std::vector<WireMessage> parked_accusations_;
+    std::vector<std::uint8_t> parked_accusers_;
     std::map<std::string, BidVectorBody> bid_vector_responses_;
     std::set<std::string> bid_vector_expected_;
     std::map<std::string, double> verified_bids_;

@@ -660,10 +660,10 @@ TEST(AnalyzeRepository, LockOrderCleanAfterScopedLockFix) {
     std::vector<dlsbl::analyze::BuildError> errors;
     const Program p = build_program_tree(DLSBL_SOURCE_DIR, {"src"}, &errors);
     ASSERT_TRUE(errors.empty());
-    // Regression pin for the real finding this pass surfaced: the
-    // sequential lock_guard pairs in Histogram::merge_from and
-    // MetricsRegistry::merge_from (src/obs/metrics.cpp) were same-class
-    // double acquisitions; both now go through std::scoped_lock.
+    // The tree must stay free of lock-order findings. The real defect this
+    // pass once surfaced was metric-merging code in src/obs/metrics.cpp that
+    // took two mutexes of one class with sequential lock_guards; that code
+    // is gone, and std::scoped_lock is the fix should such a pair return.
     const std::vector<Finding> findings = dlsbl::analyze::pass_lock_order(p);
     EXPECT_TRUE(findings.empty()) << dump(findings);
 }

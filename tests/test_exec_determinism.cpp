@@ -43,8 +43,8 @@ protocol::ProtocolConfig small_config(std::uint64_t seed, std::size_t index) {
 }
 
 // One full sweep: protocol runs fanned over the pool, events at Debug level
-// into an in-memory JSONL sink, per-run metrics plus run_protocol's global
-// counters. Returns every artifact the ISSUE's byte-identity clause names.
+// into an in-memory JSONL sink, and run_protocol's global counters. Returns
+// every artifact the byte-identity contract covers.
 struct BatchArtifacts {
     std::string jsonl;
     std::string prometheus;
@@ -62,12 +62,7 @@ BatchArtifacts run_batch(std::size_t jobs, std::size_t count) {
 
     exec::RunExecutor pool({.jobs = jobs, .root_seed = kRootSeed});
     const auto outcomes = pool.map(count, [&](exec::RunSlot& slot) {
-        // Per-run registry merged in submission order...
-        slot.metrics().counter("sweep_runs_total").inc();
-        slot.metrics()
-            .histogram("sweep_draw", {0.25, 0.5, 0.75})
-            .observe(slot.rng().uniform());
-        // ...plus a run_summary event and global counters from the protocol.
+        // A run_summary event and global counters from the protocol.
         return protocol::run_protocol(small_config(slot.seed(), slot.index()));
     });
     log.flush();
@@ -105,6 +100,8 @@ TEST(ExecDeterminism, ArtifactsByteIdenticalAcrossJobCounts) {
     const auto serial = run_batch(1, count);
     ASSERT_FALSE(serial.jsonl.empty()) << "batch produced no events";
     EXPECT_NE(serial.jsonl.find("run_summary"), std::string::npos);
+    EXPECT_NE(serial.json_metrics.find("\"dlsbl_runs_total\":24"), std::string::npos)
+        << serial.json_metrics;
 
     for (std::size_t jobs : {2u, 8u}) {
         const auto parallel = run_batch(jobs, count);

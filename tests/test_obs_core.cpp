@@ -3,6 +3,7 @@
 // sinks, and the trace -> Gantt / catapult converters.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -133,102 +134,83 @@ TEST(ObsMetrics, HistogramBuckets) {
     EXPECT_THROW(obs::Histogram({1.0, 1.0}), std::invalid_argument);
 }
 
-TEST(ObsMetrics, HistogramTracksMinAndMax) {
-    obs::Histogram h({1.0, 10.0});
-    EXPECT_DOUBLE_EQ(h.min(), 0.0);  // empty
-    EXPECT_DOUBLE_EQ(h.max(), 0.0);
-    h.observe(4.0);
-    h.observe(0.25);
-    h.observe(7.5);
-    EXPECT_DOUBLE_EQ(h.min(), 0.25);
-    EXPECT_DOUBLE_EQ(h.max(), 7.5);
+// Checks one exposition body against the text-format grammar: every line is
+// either a `# HELP`/`# TYPE` comment or `name{labels} value` with a valid
+// metric name and a parseable number.
+void expect_valid_exposition(const std::string& body) {
+    std::istringstream in(body);
+    std::size_t line_no = 0;
+    for (std::string line; std::getline(in, line);) {
+        ++line_no;
+        SCOPED_TRACE("line " + std::to_string(line_no) + ": " + line);
+        ASSERT_FALSE(line.empty());
+        if (line[0] == '#') {
+            EXPECT_TRUE(line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0);
+            continue;
+        }
+        // Metric name: [a-zA-Z_:][a-zA-Z0-9_:]*
+        std::size_t i = 0;
+        ASSERT_TRUE(std::isalpha(static_cast<unsigned char>(line[0])) ||
+                    line[0] == '_' || line[0] == ':');
+        while (i < line.size() &&
+               (std::isalnum(static_cast<unsigned char>(line[i])) || line[i] == '_' ||
+                line[i] == ':')) {
+            ++i;
+        }
+        ASSERT_LT(i, line.size());
+        if (line[i] == '{') {
+            const std::size_t close = line.find('}', i);
+            ASSERT_NE(close, std::string::npos);
+            i = close + 1;
+        }
+        ASSERT_LT(i, line.size());
+        ASSERT_EQ(line[i], ' ');
+        const std::string value = line.substr(i + 1);
+        ASSERT_FALSE(value.empty());
+        if (value != "+Inf" && value != "-Inf" && value != "NaN") {
+            std::size_t parsed = 0;
+            EXPECT_NO_THROW({
+                (void)std::stod(value, &parsed);
+                EXPECT_EQ(parsed, value.size());
+            });
+        }
+    }
 }
 
-TEST(ObsMetrics, HistogramQuantileInterpolatesExactly) {
-    // Two observations in one bucket: the interpolation endpoints are the
-    // observed min (lower edge of the first bucket) and the observed max
-    // (bucket bound clipped to max), so every value is exactly computable.
-    obs::Histogram h({10.0});
+// ObsExporterFormat: the text exposition format that prometheus_text()
+// exports (the --metrics-out file).
+TEST(ObsExporterFormat, BodyConformsToExpositionGrammar) {
+    obs::MetricsRegistry registry;
+    registry.set_help("requests_total", "Requests observed");
+    registry.counter("requests_total").inc(3);
+    registry.counter("requests_total", {{"phase", "Bidding"}}).inc(5);
+    registry.gauge("temperature").set(21.5);
+    auto& h = registry.histogram("latency_seconds", {0.1, 1.0});
+    h.observe(0.05);
+    h.observe(0.5);
     h.observe(2.0);
-    h.observe(4.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);    // q<=0 -> min
-    EXPECT_DOUBLE_EQ(h.quantile(-3.0), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0);    // rank 1 of 2: halfway
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);    // rank 2 of 2: max
-    EXPECT_DOUBLE_EQ(h.quantile(7.0), 4.0);    // q>1 clamps
+    const std::string body = registry.prometheus_text();
+    expect_valid_exposition(body);
 
-    // One observation per bucket: rank q*count lands on exact bucket edges.
-    obs::Histogram spread({1.0, 2.0, 3.0, 4.0});
-    spread.observe(0.5);
-    spread.observe(1.5);
-    spread.observe(2.5);
-    spread.observe(3.5);
-    EXPECT_DOUBLE_EQ(spread.p50(), 2.0);  // rank 2 -> upper edge of bucket le=2
-    // rank 3.96 -> bucket le=4: lower 3, upper min(4, max)=3.5, fraction 0.96.
-    EXPECT_DOUBLE_EQ(spread.p99(), 3.0 + 0.5 * 0.96);
-    EXPECT_DOUBLE_EQ(spread.quantile(0.25), 0.5 + 0.5 * 1.0);  // within bucket 0
+    // HELP precedes TYPE, TYPE precedes the series.
+    const auto help = body.find("# HELP requests_total Requests observed");
+    const auto type = body.find("# TYPE requests_total counter");
+    const auto series = body.find("requests_total 3");
+    ASSERT_NE(help, std::string::npos) << body;
+    ASSERT_NE(type, std::string::npos);
+    ASSERT_NE(series, std::string::npos);
+    EXPECT_LT(help, type);
+    EXPECT_LT(type, series);
+    EXPECT_NE(body.find("latency_seconds_bucket{le=\"0.1\"} 1"), std::string::npos);
 }
 
-TEST(ObsMetrics, HistogramQuantileEdgeCases) {
-    obs::Histogram empty({1.0});
-    EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(empty.p95(), 0.0);
-
-    // Single observation: every quantile is that value.
-    obs::Histogram one({1.0, 100.0});
-    one.observe(42.0);
-    EXPECT_DOUBLE_EQ(one.p50(), 42.0);
-    EXPECT_DOUBLE_EQ(one.p95(), 42.0);
-    EXPECT_DOUBLE_EQ(one.p99(), 42.0);
-
-    // Rank falling in the +Inf bucket returns the observed max, never Inf.
-    obs::Histogram overflow({1.0});
-    overflow.observe(0.5);
-    overflow.observe(5.0);
-    EXPECT_DOUBLE_EQ(overflow.p95(), 5.0);
-    EXPECT_DOUBLE_EQ(overflow.quantile(1.0), 5.0);
-}
-
-TEST(ObsMetrics, HistogramMergePreservesMinMaxAndQuantiles) {
-    obs::Histogram a({10.0});
-    obs::Histogram b({10.0});
-    a.observe(2.0);
-    b.observe(4.0);
-    a.merge_from(b);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 4.0);
-    EXPECT_DOUBLE_EQ(a.quantile(0.5), 3.0);  // same as observing both directly
-}
-
-TEST(MetricsConcurrency, CrossMergeNoDeadlock) {
-    // Regression pin for the analyzer's lock-order finding: merge_from used
-    // to take the two histogram mutexes with sequential lock_guards, so two
-    // threads merging the same pair in opposite directions could each hold
-    // one mutex while waiting for the other. std::scoped_lock acquires both
-    // via std::lock's deadlock-avoidance ordering; this must now terminate.
-    obs::Histogram a({1.0, 10.0});
-    obs::Histogram b({1.0, 10.0});
-    obs::MetricsRegistry ra, rb;
-    ra.counter("shared").inc();
-    rb.counter("shared").inc();
-    constexpr int kRounds = 500;
-    std::thread forward([&] {
-        for (int i = 0; i < kRounds; ++i) {
-            a.observe(0.5);
-            a.merge_from(b);
-            ra.merge_from(rb);
-        }
-    });
-    std::thread backward([&] {
-        for (int i = 0; i < kRounds; ++i) {
-            b.observe(5.0);
-            b.merge_from(a);
-            rb.merge_from(ra);
-        }
-    });
-    forward.join();
-    backward.join();
-    EXPECT_GE(a.count() + b.count(), 2u * kRounds);
+TEST(ObsExporterFormat, LabelValuesEscapeQuotesAndBackslashes) {
+    obs::MetricsRegistry registry;
+    registry.counter("weird_total", {{"path", "a\"b\\c\n"}}).inc();
+    const std::string body = registry.prometheus_text();
+    EXPECT_NE(body.find("weird_total{path=\"a\\\"b\\\\c\\n\"} 1"), std::string::npos)
+        << body;
+    expect_valid_exposition(body);
 }
 
 TEST(ObsMetrics, ExportIsDeterministic) {

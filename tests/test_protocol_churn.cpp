@@ -317,5 +317,83 @@ TEST(ChurnScenarios, NfeCrashBeforeBidExcludes) {
     EXPECT_GT(outcome.user_paid, 0.0);
 }
 
+// ---- Lemma 5.2 under exclusion: only the deviant is fined -------------------
+
+TEST(ChurnScenarios, ExclusionKeepsFinesOnTheDeviant) {
+    // A bidder that crashed before bidding is excluded at the deadline and
+    // the round closes over the others. F is posted only then, so offense
+    // (i) accusations reach the referee before it; and honest bid vectors
+    // hold the active bidders only, so allocation disputes must judge them
+    // against the round that actually ran.
+    const std::vector<Strategy> strategies = {
+        agents::truthful(),           agents::underbidder(),
+        agents::overbidder(),         agents::slow_executor(),
+        agents::masked_overbidder(),  agents::inconsistent_bidder(),
+        agents::short_shipping_lo(),  agents::over_shipping_lo(),
+        agents::corrupting_lo(),      agents::refusing_lo(),
+        agents::payment_cheater(),    agents::contradictory_payer(),
+        agents::bid_vector_tamperer(), agents::false_accuser(),
+        agents::false_short_claimer(), agents::silent_observer()};
+    struct Setting {
+        dlt::NetworkKind kind;
+        const char* crashed;
+        std::vector<std::size_t> positions;
+    };
+    const std::vector<Setting> settings = {
+        {dlt::NetworkKind::kNcpFE, "P4", {0, 2}},
+        {dlt::NetworkKind::kNcpNFE, "P2", {0, 3}},
+    };
+    for (const auto& setting : settings) {
+        for (const std::size_t position : setting.positions) {
+            for (const auto& deviant : strategies) {
+                auto config = base_config(setting.kind);
+                config.churn_plan.events = {{setting.crashed, 0.0, ChurnEventKind::kCrash}};
+                config.strategies[position] = deviant;
+                const std::string name = "P" + std::to_string(position + 1);
+                const std::string where = std::string(dlt::to_string(setting.kind)) +
+                                          " " + deviant.name + " at " + name;
+                ProtocolOutcome outcome;
+                ASSERT_NO_THROW(outcome = run_protocol(config)) << where;
+                ASSERT_EQ(outcome.churn_excluded,
+                          std::vector<std::string>{setting.crashed})
+                    << where;
+                for (const auto& p : outcome.processors) {
+                    if (p.name == name) continue;
+                    EXPECT_FALSE(p.fined) << where << " fined " << p.name;
+                }
+
+                // Every deviation that happens here is caught. The payment
+                // cheaters are fined at settlement; the others end the run
+                // with a ruling that names the deviant alone. (LO deviants
+                // deviate only as the LO, and the false claimers only as a
+                // receiver of load.)
+                const bool at_lo = position == (setting.kind == dlt::NetworkKind::kNcpFE
+                                                    ? 0
+                                                    : config.true_w.size() - 1);
+                const std::string& strategy = deviant.name;
+                const bool named =
+                    strategy == "inconsistent_bidder" || strategy == "false_accuser" ||
+                    (at_lo && strategy.ends_with("_lo")) ||
+                    (!at_lo && (strategy == "false_short_claimer" ||
+                                strategy == "bid_vector_tamperer"));
+                if (named || strategy == "payment_cheater" ||
+                    strategy == "contradictory_payer") {
+                    EXPECT_TRUE(outcome.processor(name).fined) << where;
+                    EXPECT_EQ(outcome.fined_count(), 1u) << where;
+                }
+                if (!named) continue;
+                EXPECT_TRUE(outcome.terminated_early) << where;
+                EXPECT_NE(outcome.termination_reason.find(name), std::string::npos)
+                    << where << ": " << outcome.termination_reason;
+                for (const auto& p : outcome.processors) {
+                    if (p.name == name) continue;
+                    EXPECT_EQ(outcome.termination_reason.find(p.name), std::string::npos)
+                        << where << ": " << outcome.termination_reason;
+                }
+            }
+        }
+    }
+}
+
 }  // namespace
 }  // namespace dlsbl::protocol

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace dlsbl::protocol {
 namespace {
@@ -192,6 +193,51 @@ TEST(Deviants, HonestProcessorsNeverFined) {
     }
 }
 
+// A run wired like run_protocol, except that processor `index`'s core is
+// hosted behind the endpoint `wrap` builds around it.
+struct HostedRun {
+    std::unique_ptr<Driver> driver;
+    std::unique_ptr<RunContext> context;
+    std::unique_ptr<RefereeCore> referee;
+    std::vector<std::unique_ptr<NodeCore>> nodes;
+    std::unique_ptr<Endpoint> host;
+};
+
+template <typename Wrap>
+HostedRun run_hosted(const ProtocolConfig& config, std::size_t index, Wrap wrap) {
+    HostedRun run;
+    run.driver = make_sim_driver(config.z, config.control_latency,
+                                 config.control_seconds_per_byte, config.churn_plan);
+    run.context = std::make_unique<RunContext>(run.driver->clock(),
+                                               run.driver->transport(), config);
+    RunContext& context = *run.context;
+    std::vector<std::unique_ptr<crypto::Signer>> signers;
+    for (std::size_t i = 0; i < context.processor_count(); ++i) {
+        signers.push_back(crypto::make_registered_signer(
+            context.pki(), context.processor_names()[i], config.seed * 1000 + i,
+            config.signature_algorithm, config.mss_height, config.crypto_keygen_jobs));
+    }
+    run.referee = std::make_unique<RefereeCore>(context);
+    run.driver->attach(*run.referee);
+    context.set_referee(*run.referee);
+    context.set_expected_workers(context.processor_count());
+    for (std::size_t i = 0; i < context.processor_count(); ++i) {
+        run.nodes.push_back(std::make_unique<NodeCore>(context, i, std::move(signers[i]),
+                                                       config.strategies[i]));
+    }
+    run.host = wrap(context, *run.nodes[index]);
+    for (std::size_t i = 0; i < run.nodes.size(); ++i) {
+        if (i == index) {
+            run.driver->attach(*run.host);
+        } else {
+            run.driver->attach(*run.nodes[i]);
+        }
+    }
+    run.driver->start();
+    run.driver->run();
+    return run;
+}
+
 // P3 runs a real NodeCore but also relays every load delivery it receives
 // to `target`, as if the LO had shipped the target a second batch.
 class RelayingPeer final : public Endpoint {
@@ -217,43 +263,50 @@ class RelayingPeer final : public Endpoint {
 TEST(Deviants, RelayedDeliveryCannotFrameHonestReceiver) {
     // Lemma 5.2: a peer that is not the LO relays its authentic batch to P2.
     // Counted as load, it would push P2 past its assignment into an
-    // over-shipment complaint the bus witness refutes, fining P2. Wired
-    // like run_protocol, with P3's core behind the relay.
-    const ProtocolConfig config = base_config();
-    std::unique_ptr<Driver> driver = make_sim_driver(
-        config.z, config.control_latency, config.control_seconds_per_byte, config.churn_plan);
-    RunContext context(driver->clock(), driver->transport(), config);
-    std::vector<std::unique_ptr<crypto::Signer>> signers;
-    for (std::size_t i = 0; i < context.processor_count(); ++i) {
-        signers.push_back(crypto::make_registered_signer(
-            context.pki(), context.processor_names()[i], config.seed * 1000 + i,
-            config.signature_algorithm, config.mss_height, config.crypto_keygen_jobs));
-    }
-    RefereeCore referee(context);
-    driver->attach(referee);
-    context.set_referee(referee);
-    context.set_expected_workers(context.processor_count());
-    std::vector<std::unique_ptr<NodeCore>> nodes;
-    for (std::size_t i = 0; i < context.processor_count(); ++i) {
-        nodes.push_back(std::make_unique<NodeCore>(context, i, std::move(signers[i]),
-                                                   config.strategies[i]));
-    }
-    RelayingPeer relay(context, *nodes[2], "P2");
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (i == 2) {
-            driver->attach(relay);
-        } else {
-            driver->attach(*nodes[i]);
-        }
-    }
-    driver->start();
-    driver->run();
+    // over-shipment complaint the bus witness refutes, fining P2.
+    const HostedRun run =
+        run_hosted(base_config(), 2, [](RunContext& context, NodeCore& core) {
+            return std::make_unique<RelayingPeer>(context, core, "P2");
+        });
+    EXPECT_FALSE(run.context->terminated()) << run.context->termination_reason();
+    EXPECT_TRUE(run.referee->settled());
+    EXPECT_FALSE(run.referee->fines().contains("P2"));
+    EXPECT_TRUE(run.referee->fines().empty());
+    EXPECT_EQ(run.nodes[1]->blocks_received(), run.nodes[1]->blocks_assigned());
+}
 
-    EXPECT_FALSE(context.terminated()) << context.termination_reason();
-    EXPECT_TRUE(referee.settled());
-    EXPECT_FALSE(referee.fines().contains("P2"));
-    EXPECT_TRUE(referee.fines().empty());
-    EXPECT_EQ(nodes[1]->blocks_received(), nodes[1]->blocks_assigned());
+// P3 runs a real NodeCore, but before bidding it sends the referee an empty
+// double-bid accusation, which arrives before F is posted.
+class EarlyAccuser final : public Endpoint {
+ public:
+    EarlyAccuser(RunContext& context, NodeCore& core)
+        : Endpoint(core.name()), ctx_(context), core_(core) {}
+
+    void on_start() override {
+        ctx_.transport().unicast(name(), ctx_.referee_name(),
+                                 to_wire(MsgType::kAccuseDoubleBid),
+                                 wire::flat_encode(DoubleBidEvidence{}));
+        core_.on_start();
+    }
+    void on_message(const WireMessage& message) override { core_.on_message(message); }
+
+ private:
+    RunContext& ctx_;
+    NodeCore& core_;
+};
+
+TEST(Deviants, EarlyAccusationWaitsForTheFine) {
+    // Every verdict levies F, so the referee judges the accusation once F is
+    // posted instead of throwing out of the run. The evidence proves
+    // nothing: only the accuser is fined (Lemma 5.2).
+    HostedRun run;
+    ASSERT_NO_THROW(run = run_hosted(base_config(), 2, [](RunContext& context, NodeCore& core) {
+        return std::make_unique<EarlyAccuser>(context, core);
+    }));
+    EXPECT_TRUE(run.context->terminated());
+    EXPECT_EQ(run.context->termination_reason(), "unfounded double-bid accusation by P3");
+    EXPECT_EQ(run.referee->fines().size(), 1u);
+    EXPECT_TRUE(run.referee->fines().contains("P3"));
 }
 
 TEST(Deviants, NoRewardsWithoutACheater) {

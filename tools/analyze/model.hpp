@@ -75,7 +75,7 @@ struct IterSite {
 };
 
 struct FunctionDef {
-    std::string name;        // simple name ("merge_from")
+    std::string name;        // simple name ("counter")
     std::string class_name;  // enclosing record or out-of-line qualifier
     std::string ns;          // namespace path ("dlsbl::obs")
     std::string qualified;   // ns::class::name, anonymous ns omitted

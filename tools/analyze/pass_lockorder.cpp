@@ -38,7 +38,7 @@ std::string node_name(const Program& program, const FileModel& file,
             if (m.name == site.member) owners.insert(m.class_name);
         }
     }
-    // The enclosing class first: `mutex_` inside MetricsRegistry::merge_from
+    // The enclosing class first: `mutex_` inside MetricsRegistry::counter
     // (and `other.mutex_` on a MetricsRegistry parameter) is that class's.
     if (!fn.class_name.empty() && owners.count(fn.class_name) > 0) {
         return fn.class_name + "::" + site.member;
