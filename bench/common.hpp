@@ -180,8 +180,15 @@ class Report {
 // manifest with the root seed but NOT the job count — the artifact is
 // byte-identical across job counts, so recording it would be a lie about
 // what influenced the output.
+//
+// This is also where a bench parses its whole command line, strictly:
+// `spec` holds the bench's own flags (if any) and --jobs joins them. An
+// unknown `-`-prefixed argument, a missing value or a bad --jobs count
+// prints the error (`unknown argument '--jobz'`) and exits 2 before the
+// bench runs. Benches that write a JSON artifact strip `--json-out` first
+// (json_out_from_args, bench/bench_json.hpp).
 inline exec::ExecutorOptions parallel_options(int argc, char** argv,
-                                              std::uint64_t root_seed) {
+                                              std::uint64_t root_seed, ArgSpec spec = {}) {
     exec::ExecutorOptions options;
     options.jobs = 1;
     // Explicit operator knob for worker count; artifacts are byte-identical
@@ -189,13 +196,16 @@ inline exec::ExecutorOptions parallel_options(int argc, char** argv,
     if (const char* env = std::getenv("DLSBL_JOBS"); env != nullptr && *env != '\0') {
         options.jobs = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
     }
-    ArgSpec spec;
     spec.option("--jobs", [&options](const std::string& value) {
-        options.jobs = static_cast<std::size_t>(std::strtoul(value.c_str(), nullptr, 10));
-        return true;
+        char* end = nullptr;
+        options.jobs = static_cast<std::size_t>(std::strtoul(value.c_str(), &end, 10));
+        return !value.empty() && *end == '\0';
     });
     spec.alias("-j", "--jobs");
-    spec.scan(argc, argv);
+    if (!spec.scan_strict(argc, argv)) {
+        std::fprintf(stderr, "%s\n", spec.error().c_str());
+        std::exit(2);
+    }
     options.root_seed = root_seed;
     return options;
 }

@@ -23,9 +23,9 @@ namespace dlsbl::bench {
 
 inline int run_figure_bench(dlt::NetworkKind kind, const std::string& figure_name,
                             int argc = 0, char** argv = nullptr) {
+    const auto exec_options = parallel_options(argc, argv, /*root_seed=*/1);
     Report report("Reproduction of " + figure_name + " — " +
                   std::string(dlt::to_string(kind)) + " timing diagram");
-    const auto exec_options = parallel_options(argc, argv, /*root_seed=*/1);
 
     dlt::ProblemInstance instance;
     instance.kind = kind;

@@ -1,5 +1,6 @@
 // E15: engineering microbenchmarks for the cryptographic substrate —
-// SHA-256 throughput per compression backend, the multi-lane batch APIs,
+// SHA-256 throughput per compression backend, the multi-lane batch APIs
+// (hash32, pair and fixed-length shapes),
 // HMAC, WOTS/Merkle signature operations, MSS keygen per backend, batch
 // verification, and full protocol-message signing.
 //
@@ -91,6 +92,28 @@ void BM_Sha256HashPairMany(benchmark::State& state, const std::string& backend) 
 }
 BENCHMARK_CAPTURE(BM_Sha256HashPairMany, scalar, "scalar")->Arg(512);
 BENCHMARK_CAPTURE(BM_Sha256HashPairMany, auto, "auto")->Arg(512);
+
+// The block-commitment shape: n fixed-length messages of 58 bytes (a block
+// leaf preimage: tag, id, payload digest; two compressions each), hashed
+// 16 at a time through the SoA engine (scalar pins its lanes fallback).
+void BM_Sha256HashFixedMany(benchmark::State& state, const std::string& backend) {
+    BackendPin pin(state, backend);
+    if (!pin) return;
+    constexpr std::size_t kLeafBytes = 58;
+    const auto n = static_cast<std::size_t>(state.range(0));
+    util::Bytes in(n * kLeafBytes);
+    for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::uint8_t>(i * 131);
+    std::vector<crypto::Digest> out(n);
+    for (auto _ : state) {
+        crypto::Sha256::hash_fixed_many(in.data(), kLeafBytes, out.data(), n);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(in.size()));
+}
+BENCHMARK_CAPTURE(BM_Sha256HashFixedMany, scalar, "scalar")->Arg(4096);
+BENCHMARK_CAPTURE(BM_Sha256HashFixedMany, auto, "auto")->Arg(4096);
 
 void BM_HmacSha256(benchmark::State& state) {
     const util::Bytes key(32, 0x42);
@@ -244,7 +267,8 @@ void BM_MerkleTreeBuild(benchmark::State& state) {
         benchmark::DoNotOptimize(tree.root());
     }
 }
-BENCHMARK(BM_MerkleTreeBuild)->RangeMultiplier(4)->Range(16, 4096);
+// 65,536 leaves: the block count of the bulk_load perfbench workload.
+BENCHMARK(BM_MerkleTreeBuild)->RangeMultiplier(4)->Range(16, 4096)->Arg(65536);
 
 void BM_SignedEnvelopeFast(benchmark::State& state) {
     crypto::Pki pki;
@@ -307,6 +331,8 @@ int main(int argc, char** argv) {
         reporter, "BM_Sha256Hash32Many/scalar/1024", "BM_Sha256Hash32Many/auto/1024");
     derived["hash_pair_many_speedup"] = bench::speedup(
         reporter, "BM_Sha256HashPairMany/scalar/512", "BM_Sha256HashPairMany/auto/512");
+    derived["hash_fixed_many_speedup"] = bench::speedup(
+        reporter, "BM_Sha256HashFixedMany/scalar/4096", "BM_Sha256HashFixedMany/auto/4096");
     derived["mss_wots_keygen_speedup_auto_j1"] = bench::speedup(
         reporter, "BM_MssKeygen/wots_scalar_j1/4", "BM_MssKeygen/wots_auto_j1/4");
     derived["pki_verify_cache_speedup"] =

@@ -196,16 +196,14 @@ Throughput message_throughput(std::size_t verify_batch, std::size_t trials) {
 
 int main(int argc, char** argv) {
     const auto json_out = bench::json_out_from_args(&argc, argv);
-    bench::Report report("E22 (extension): wall-clock overhead of the mechanism");
-    const auto options = bench::parallel_options(argc, argv, /*root_seed=*/22);
-
     // --smoke: only the message-path series, at a budget fit for ctest.
     // The sim grid and the keygen-bound wall-clock sections are full-length
     // measurements the bench-regress gate does not track.
     bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--smoke") smoke = true;
-    }
+    bench::ArgSpec spec;
+    spec.flag("--smoke", [&smoke] { smoke = true; });
+    const auto options = bench::parallel_options(argc, argv, /*root_seed=*/22, spec);
+    bench::Report report("E22 (extension): wall-clock overhead of the mechanism");
     if (smoke) {
         report.section("message-path throughput (envelopes per host second)");
         const std::size_t path_trials = 10;

@@ -36,8 +36,8 @@ struct DeviantCase {
 }  // namespace
 
 int main(int argc, char** argv) {
-    bench::Report report("E8: Theorem 5.1 — faithful execution maximizes utility");
     const auto options = bench::parallel_options(argc, argv, /*root_seed=*/8);
+    bench::Report report("E8: Theorem 5.1 — faithful execution maximizes utility");
 
     bool all_fined = true;
     bool all_dominated = true;

@@ -49,8 +49,8 @@ double protocol_utility(dlt::NetworkKind kind, const std::vector<double>& w,
 }  // namespace
 
 int main(int argc, char** argv) {
-    bench::Report report("E6: Theorems 3.1/5.2 — strategyproofness");
     const auto options = bench::parallel_options(argc, argv, /*root_seed=*/42);
+    bench::Report report("E6: Theorems 3.1/5.2 — strategyproofness");
     report.manifest().set_uint("seed", options.root_seed);
 
     // (a) mechanism-level sweep: one executor task per (kind, instance

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "crypto/mss.hpp"
-#include "crypto/sha256_compress.hpp"
 #include "crypto/sha256_soa.hpp"
 #include "crypto/wots.hpp"
 #include "obs/profiler.hpp"
@@ -15,98 +14,7 @@ namespace dlsbl::crypto {
 
 namespace {
 
-using detail::kSoaLanes;
-using detail::kSoaWords;
-using detail::soa_load_lane;
-using detail::soa_store_lane;
-
-// ---------------------------------------------------------------------------
-// Chain scheduler: advance many independent hash chains d <- H(d) with
-// per-chain step counts at full 16-lane density.
-
-struct ChainJob {
-    const std::uint8_t* src = nullptr;  // 32-byte start value
-    std::uint8_t* dst = nullptr;        // 32-byte destination
-    std::uint8_t steps = 0;
-};
-
-// Two phases keep lane density near 100% regardless of the step
-// distribution:
-//   A) jobs bucketed by step count; each full group of 16 same-step jobs
-//      advances in lockstep with no masking and no idle lanes;
-//   B) the <16 leftovers of each bucket merge into one descending-sorted
-//      pool drained by lane refill: all lanes advance by the minimum
-//      remaining count, finished lanes store out and reload the next job.
-void run_chain_jobs(std::span<const ChainJob> jobs) {
-    const detail::Sha256SoaEngine& eng = detail::sha256_soa_engine();
-
-    // Counting sort into per-step buckets (descending). Zero-step jobs are
-    // verbatim copies.
-    std::array<std::vector<const ChainJob*>, WotsKeyPair::kChainLength + 1> buckets;
-    for (const ChainJob& job : jobs) {
-        if (job.steps == 0) {
-            if (job.dst != job.src) std::memcpy(job.dst, job.src, 32);
-            continue;
-        }
-        buckets[job.steps].push_back(&job);
-    }
-
-    alignas(64) std::uint32_t soa[kSoaWords] = {};
-    std::vector<const ChainJob*> leftover;
-
-    for (std::size_t s = WotsKeyPair::kChainLength; s >= 1; --s) {
-        const auto& bucket = buckets[s];
-        std::size_t pos = 0;
-        for (; pos + kSoaLanes <= bucket.size(); pos += kSoaLanes) {
-            for (std::size_t l = 0; l < kSoaLanes; ++l) {
-                soa_load_lane(soa, l, bucket[pos + l]->src);
-            }
-            eng.chain16(soa, s);
-            for (std::size_t l = 0; l < kSoaLanes; ++l) {
-                soa_store_lane(soa, l, bucket[pos + l]->dst);
-            }
-        }
-        for (; pos < bucket.size(); ++pos) leftover.push_back(bucket[pos]);
-    }
-    if (leftover.empty()) return;
-
-    // Lane-refill drain. Inactive lanes keep hashing whatever digest they
-    // last held; their output is never read.
-    std::array<unsigned, kSoaLanes> rem{};
-    std::array<std::uint8_t*, kSoaLanes> dst{};
-    std::array<bool, kSoaLanes> alive{};
-    std::size_t next = 0;
-    unsigned active = 0;
-    for (std::size_t l = 0; l < kSoaLanes && next < leftover.size(); ++l, ++next) {
-        soa_load_lane(soa, l, leftover[next]->src);
-        rem[l] = leftover[next]->steps;
-        dst[l] = leftover[next]->dst;
-        alive[l] = true;
-        ++active;
-    }
-    while (active > 0) {
-        unsigned step = ~0u;
-        for (std::size_t l = 0; l < kSoaLanes; ++l) {
-            if (alive[l]) step = std::min(step, rem[l]);
-        }
-        eng.chain16(soa, step);
-        for (std::size_t l = 0; l < kSoaLanes; ++l) {
-            if (!alive[l]) continue;
-            rem[l] -= step;
-            if (rem[l] != 0) continue;
-            soa_store_lane(soa, l, dst[l]);
-            if (next < leftover.size()) {
-                soa_load_lane(soa, l, leftover[next]->src);
-                rem[l] = leftover[next]->steps;
-                dst[l] = leftover[next]->dst;
-                ++next;
-            } else {
-                alive[l] = false;
-                --active;
-            }
-        }
-    }
-}
+using detail::ChainJob;
 
 // ---------------------------------------------------------------------------
 // Zero-copy signature views. parse_sig accepts exactly the byte strings
@@ -168,72 +76,6 @@ SigView parse_sig(std::span<const std::uint8_t> data) noexcept {
 
 }  // namespace
 
-namespace detail {
-
-void sha256_streams(const std::uint8_t* const* data, const std::size_t* len,
-                    std::size_t n, Digest* out) {
-    const Sha256SoaEngine& eng = sha256_soa_engine();
-
-    struct Lane {
-        const std::uint8_t* data;
-        std::size_t full_blocks;   // whole 64-byte blocks of raw data
-        std::size_t total_blocks;  // including the padded tail
-        std::uint8_t tail[128];    // 1 or 2 padded final blocks
-    };
-    std::array<Lane, kSoaLanes> lanes;
-    alignas(64) std::uint32_t soa[kSoaWords];
-
-    for (std::size_t base = 0; base < n; base += kSoaLanes) {
-        const std::size_t group = std::min(kSoaLanes, n - base);
-        std::size_t max_blocks = 0;
-        for (std::size_t l = 0; l < group; ++l) {
-            Lane& lane = lanes[l];
-            const std::size_t length = len[base + l];
-            lane.data = data[base + l];
-            lane.full_blocks = length / 64;
-            lane.total_blocks = (length + 72) / 64;
-            const std::size_t rem = length - 64 * lane.full_blocks;
-            const std::size_t tail_bytes = 64 * (lane.total_blocks - lane.full_blocks);
-            std::memset(lane.tail, 0, sizeof(lane.tail));
-            if (rem != 0) std::memcpy(lane.tail, lane.data + 64 * lane.full_blocks, rem);
-            lane.tail[rem] = 0x80;
-            const std::uint64_t bits = static_cast<std::uint64_t>(length) * 8;
-            for (int i = 0; i < 8; ++i) {
-                lane.tail[tail_bytes - 8 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-            }
-            max_blocks = std::max(max_blocks, lane.total_blocks);
-        }
-        for (std::size_t w = 0; w < 8; ++w) {
-            for (std::size_t l = 0; l < kSoaLanes; ++l) {
-                soa[kSoaLanes * w + l] = kSha256Init[w];
-            }
-        }
-        const std::uint8_t* blocks[kSoaLanes];
-        for (std::size_t k = 0; k < max_blocks; ++k) {
-            for (std::size_t l = 0; l < kSoaLanes; ++l) {
-                // Finished lanes (and unused lanes past `group`) keep
-                // compressing their tail; the churned state is never read.
-                const Lane& lane = lanes[l < group ? l : 0];
-                if (k < lane.full_blocks) {
-                    blocks[l] = lane.data + 64 * k;
-                } else if (k < lane.total_blocks) {
-                    blocks[l] = lane.tail + 64 * (k - lane.full_blocks);
-                } else {
-                    blocks[l] = lane.tail;
-                }
-            }
-            eng.compress16(soa, blocks);
-            for (std::size_t l = 0; l < group; ++l) {
-                if (lanes[l].total_blocks == k + 1) {
-                    soa_store_lane(soa, l, out[base + l].data());
-                }
-            }
-        }
-    }
-}
-
-}  // namespace detail
-
 void mss_verify_many(std::span<const MssVerifyItem> items, bool* verdicts) {
     OBS_SCOPE("mss_verify_batch");
     const std::size_t n = items.size();
@@ -287,7 +129,7 @@ void mss_verify_many(std::span<const MssVerifyItem> items, bool* verdicts) {
                                                           digits[c])});
             }
         }
-        run_chain_jobs(jobs);
+        detail::run_chain_jobs(jobs);
     }
 
     // One-time public key rebuilds: each signature's chain ends, hashed in

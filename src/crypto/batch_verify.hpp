@@ -12,11 +12,12 @@
 //     (allocation-free, same acceptance predicate as
 //     MssSignature::deserialize);
 //   * every WOTS chain from every signature becomes one (start, steps)
-//     job; jobs are bucketed by remaining step count and advanced 16 at a
-//     time through the struct-of-arrays SHA-256 engine
-//     (crypto/sha256_soa.hpp) at full lane density;
+//     job for detail::run_chain_jobs, the lane-refill chain scheduler
+//     WotsKeyPair::sign shares (crypto/sha256_soa.hpp), which advances
+//     them 16 at a time through the struct-of-arrays SHA-256 engine at
+//     full lane density;
 //   * one-time public key rebuilds and message digests run through
-//     sha256_streams, the ragged 16-stream batch hasher;
+//     detail::sha256_streams, the ragged 16-stream batch hasher;
 //   * Merkle authentication paths recompute level-by-level across all
 //     signatures via Sha256::hash_pair_many.
 //
@@ -44,16 +45,5 @@ struct MssVerifyItem {
 // followed by `MssKeyPair::verify` would produce. Spans must stay valid for
 // the duration of the call; items may alias.
 void mss_verify_many(std::span<const MssVerifyItem> items, bool* verdicts);
-
-namespace detail {
-
-// Batch one-shot SHA-256 over `n` independent contiguous byte streams:
-// out[i] = H(data[i][0..len[i])). Streams of mixed lengths are hashed 16
-// at a time through the SoA engine; bit-identical to Sha256::hash per
-// stream. WOTS keygen hashes its chain-end streams through it too.
-void sha256_streams(const std::uint8_t* const* data, const std::size_t* len,
-                    std::size_t n, Digest* out);
-
-}  // namespace detail
 
 }  // namespace dlsbl::crypto

@@ -9,6 +9,7 @@
 
 #include "crypto/batch_verify.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/sha256_soa.hpp"
 
 namespace dlsbl::crypto {
 

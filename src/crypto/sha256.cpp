@@ -1,8 +1,12 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "crypto/sha256_compress.hpp"
 #include "crypto/sha256_soa.hpp"
@@ -84,8 +88,17 @@ const Sha256Backend& active_backend() noexcept {
 // ---------------------------------------------------------------------------
 // Padding helpers.
 
+// Unrolled, so the compiler merges the stores into one byte-swapped store
+// (the loop form stays eight byte stores at -O2).
 inline void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+    p[0] = static_cast<std::uint8_t>(v >> 56);
+    p[1] = static_cast<std::uint8_t>(v >> 48);
+    p[2] = static_cast<std::uint8_t>(v >> 40);
+    p[3] = static_cast<std::uint8_t>(v >> 32);
+    p[4] = static_cast<std::uint8_t>(v >> 24);
+    p[5] = static_cast<std::uint8_t>(v >> 16);
+    p[6] = static_cast<std::uint8_t>(v >> 8);
+    p[7] = static_cast<std::uint8_t>(v);
 }
 
 inline void extract_digest(const std::uint32_t* state, Digest& out) noexcept {
@@ -97,13 +110,8 @@ inline void extract_digest(const std::uint32_t* state, Digest& out) noexcept {
     }
 }
 
-// Number of 64-byte blocks in the padded encoding of a `len`-byte message.
-constexpr std::size_t padded_blocks(std::size_t len) noexcept {
-    return (len + 1 + 8 + 63) / 64;
-}
-
-// Lanes per batch on the stack: 64 lanes = 2 KiB of states + 4 KiB of
-// blocks, comfortably within frame-size limits while keeping every
+// Lanes per hash32_many batch on the stack: 64 lanes = 2 KiB of states +
+// 4 KiB of blocks, comfortably within frame-size limits while keeping every
 // multi-lane kernel saturated.
 constexpr std::size_t kBatch = 64;
 
@@ -118,24 +126,13 @@ constexpr std::array<std::uint8_t, 32> kPad32Tail = [] {
 }();
 
 // The constant second block of a padded 64-byte message (hash_pair):
-// 0x80, zeros, 512-bit length — identical for every lane, so keep a
-// batch-wide replica for compress_lanes.
-struct PairPadBlocks {
-    alignas(64) std::uint8_t bytes[kBatch * 64];
-};
-
-const PairPadBlocks& pair_pad_blocks() noexcept {
-    static const PairPadBlocks pad = [] {
-        PairPadBlocks p{};
-        std::memset(p.bytes, 0, sizeof(p.bytes));
-        for (std::size_t l = 0; l < kBatch; ++l) {
-            p.bytes[64 * l] = 0x80;
-            p.bytes[64 * l + 62] = 0x02;  // 512 bits, big-endian
-        }
-        return p;
-    }();
-    return pad;
-}
+// 0x80, zeros, 512-bit length — identical for every pair.
+constexpr std::array<std::uint8_t, 64> kPairPadBlock = [] {
+    std::array<std::uint8_t, 64> b{};
+    b[0] = 0x80;
+    b[62] = 0x02;  // 512 bits, big-endian
+    return b;
+}();
 
 void init_states(std::uint32_t* states, std::size_t lanes) noexcept {
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -143,19 +140,21 @@ void init_states(std::uint32_t* states, std::size_t lanes) noexcept {
     }
 }
 
-// Writes block `blk` of the padded encoding of the `len`-byte message `msg`
-// (padded_blocks(len) blocks in all) to `dst`.
-void padded_block(std::uint8_t* dst, const std::uint8_t* msg, std::size_t len,
-                  std::size_t blk) noexcept {
-    if ((blk + 1) * 64 <= len) {
-        std::memcpy(dst, msg + blk * 64, 64);
-        return;
-    }
-    std::memset(dst, 0, 64);
-    if (blk * 64 < len) std::memcpy(dst, msg + blk * 64, len - blk * 64);
-    if (blk == len / 64) dst[len % 64] = 0x80;
-    if (blk == padded_blocks(len) - 1) {
-        store_be64(dst + 56, static_cast<std::uint64_t>(len) * 8);
+// Hashes streams [0, n) 16 at a time through detail::sha256_streams, where
+// stream(i) gives stream i as a byte span: front ends need no n-sized
+// pointer tables.
+template <typename StreamOf>
+void streams_in_groups(std::size_t n, Digest* out, StreamOf&& stream) noexcept {
+    const std::uint8_t* data[detail::kSoaLanes];
+    std::size_t len[detail::kSoaLanes];
+    for (std::size_t base = 0; base < n; base += detail::kSoaLanes) {
+        const std::size_t group = std::min(detail::kSoaLanes, n - base);
+        for (std::size_t l = 0; l < group; ++l) {
+            const std::span<const std::uint8_t> bytes = stream(base + l);
+            data[l] = bytes.data();
+            len[l] = bytes.size();
+        }
+        detail::sha256_streams(data, len, group, out + base);
     }
 }
 
@@ -299,96 +298,56 @@ void Sha256::hash32_many(std::span<const Digest> in, std::span<Digest> out) noex
 void Sha256::hash_pair_many(std::span<const Digest> pairs,
                             std::span<Digest> out) noexcept {
     const std::size_t n = std::min(pairs.size() / 2, out.size());
-    const Sha256Backend& backend = active_backend();
-    const auto* first_blocks = reinterpret_cast<const std::uint8_t*>(pairs.data());
-    alignas(64) std::uint32_t states[kBatch * 8];
+    const detail::Sha256SoaEngine& eng = detail::sha256_soa_engine();
+    const auto* pair_bytes = reinterpret_cast<const std::uint8_t*>(pairs.data());
+    alignas(64) std::uint32_t soa[detail::kSoaWords];
+    const std::uint8_t* first[detail::kSoaLanes];
+    const std::uint8_t* second[detail::kSoaLanes];
+    std::fill(std::begin(second), std::end(second), kPairPadBlock.data());
 
-    for (std::size_t base = 0; base < n; base += kBatch) {
-        const std::size_t lanes = std::min(kBatch, n - base);
-        init_states(states, lanes);
-        // Block 0: the pair bytes themselves — pair l is one contiguous
-        // 64-byte run starting at byte 64*l.
-        backend.compress_lanes(states, first_blocks + 64 * base, lanes);
-        // Block 1: the shared constant padding block.
-        backend.compress_lanes(states, pair_pad_blocks().bytes, lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            extract_digest(states + 8 * l, out[base + l]);
+    for (std::size_t base = 0; base < n; base += detail::kSoaLanes) {
+        const std::size_t group = std::min(detail::kSoaLanes, n - base);
+        if (group < detail::kSoaMinGroup) {
+            for (std::size_t i = base; i < base + group; ++i) {
+                out[i] = hash_pair(pairs[2 * i], pairs[2 * i + 1]);
+            }
+            continue;
+        }
+        // Block 0 of pair l is the pair's own 64 contiguous bytes; lanes
+        // past the group recompress the group's first pair, unread. Every
+        // lane reads its pair before any digest of the group is stored, so
+        // `out` may overlay the front of `pairs` (a Merkle level in place).
+        for (std::size_t l = 0; l < detail::kSoaLanes; ++l) {
+            first[l] = pair_bytes + 64 * (base + (l < group ? l : 0));
+        }
+        detail::soa_init_states(soa);
+        eng.compress16(soa, first);
+        eng.compress16(soa, second);
+        for (std::size_t l = 0; l < group; ++l) {
+            detail::soa_store_lane(soa, l, out[base + l].data());
         }
     }
 }
 
 void Sha256::hash_fixed_many(const std::uint8_t* in, std::size_t len, Digest* out,
                              std::size_t n) noexcept {
-    const Sha256Backend& backend = active_backend();
-    const std::size_t nblocks = padded_blocks(len);
-    alignas(64) std::uint32_t states[kBatch * 8];
-    alignas(64) std::uint8_t blocks[kBatch * 64];
-
-    for (std::size_t base = 0; base < n; base += kBatch) {
-        const std::size_t lanes = std::min(kBatch, n - base);
-        init_states(states, lanes);
-        for (std::size_t blk = 0; blk < nblocks; ++blk) {
-            for (std::size_t l = 0; l < lanes; ++l) {
-                padded_block(blocks + 64 * l, in + len * (base + l), len, blk);
-            }
-            backend.compress_lanes(states, blocks, lanes);
-        }
-        for (std::size_t l = 0; l < lanes; ++l) {
-            extract_digest(states + 8 * l, out[base + l]);
-        }
-    }
+    streams_in_groups(n, out, [in, len](std::size_t i) {
+        return std::span<const std::uint8_t>(in + len * i, len);
+    });
 }
 
 void Sha256::hash_many(std::span<const util::Bytes> inputs,
                        std::span<Digest> out) noexcept {
-    const std::size_t n = std::min(inputs.size(), out.size());
-    const Sha256Backend& backend = active_backend();
-    alignas(64) std::uint32_t lane_states[kBatch * 8];
-    alignas(64) std::uint8_t lane_blocks[kBatch * 64];
-    std::size_t lane_index[kBatch];
-
-    for (std::size_t base = 0; base < n; base += kBatch) {
-        const std::size_t lanes = std::min(kBatch, n - base);
-        std::uint32_t states[kBatch * 8];
-        std::size_t nblocks[kBatch];
-        std::size_t max_blocks = 0;
-        init_states(states, lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            nblocks[l] = padded_blocks(inputs[base + l].size());
-            max_blocks = std::max(max_blocks, nblocks[l]);
-        }
-
-        // Advance every still-live lane one block per round, compacting the
-        // live set so the multi-lane kernel always sees dense input.
-        for (std::size_t blk = 0; blk < max_blocks; ++blk) {
-            std::size_t live = 0;
-            for (std::size_t l = 0; l < lanes; ++l) {
-                if (blk >= nblocks[l]) continue;
-                const util::Bytes& msg = inputs[base + l];
-                padded_block(lane_blocks + 64 * live, msg.data(), msg.size(), blk);
-                std::memcpy(lane_states + 8 * live, states + 8 * l,
-                            8 * sizeof(std::uint32_t));
-                lane_index[live] = l;
-                ++live;
-            }
-            backend.compress_lanes(lane_states, lane_blocks, live);
-            for (std::size_t k = 0; k < live; ++k) {
-                std::memcpy(states + 8 * lane_index[k], lane_states + 8 * k,
-                            8 * sizeof(std::uint32_t));
-            }
-        }
-
-        for (std::size_t l = 0; l < lanes; ++l) {
-            extract_digest(states + 8 * l, out[base + l]);
-        }
-    }
+    streams_in_groups(std::min(inputs.size(), out.size()), out.data(),
+                      [inputs](std::size_t i) { return std::span<const std::uint8_t>(inputs[i]); });
 }
 
 util::Bytes digest_to_bytes(const Digest& d) { return util::Bytes(d.begin(), d.end()); }
 
 // ---------------------------------------------------------------------------
-// SoA engine dispatch (see sha256_soa.hpp). The fallback lives here because
-// it reuses the file-local active_backend() and padding constants.
+// SoA engine dispatch and the batch hashers on top of it (see
+// sha256_soa.hpp). The fallback engine lives here because it reuses the
+// file-local active_backend() and padding constants.
 
 namespace detail {
 
@@ -448,6 +407,150 @@ const Sha256SoaEngine& sha256_soa_engine() {
         if (const Sha256SoaEngine* e = sha256_soa512_engine()) return *e;
     }
     return sha256_soa_lanes_engine();
+}
+
+void sha256_streams(const std::uint8_t* const* data, const std::size_t* len,
+                    std::size_t n, Digest* out) noexcept {
+    const Sha256SoaEngine& eng = sha256_soa_engine();
+
+    struct Lane {
+        const std::uint8_t* data;
+        std::size_t full_blocks;   // whole 64-byte blocks of raw data
+        std::size_t total_blocks;  // including the padded tail
+        std::uint8_t tail[128];    // 1 or 2 padded final blocks
+    };
+    std::array<Lane, kSoaLanes> lanes;
+    alignas(64) std::uint32_t soa[kSoaWords];
+
+    for (std::size_t base = 0; base < n; base += kSoaLanes) {
+        const std::size_t group = std::min(kSoaLanes, n - base);
+        if (group < kSoaMinGroup) {
+            for (std::size_t i = base; i < base + group; ++i) {
+                out[i] = Sha256::hash(std::span<const std::uint8_t>(data[i], len[i]));
+            }
+            continue;
+        }
+        std::size_t max_blocks = 0;
+        for (std::size_t l = 0; l < group; ++l) {
+            Lane& lane = lanes[l];
+            const std::size_t length = len[base + l];
+            lane.data = data[base + l];
+            lane.full_blocks = length / 64;
+            lane.total_blocks = (length + 72) / 64;
+            const std::size_t rem = length - 64 * lane.full_blocks;
+            const std::size_t tail_bytes = 64 * (lane.total_blocks - lane.full_blocks);
+            // Zero only the tail blocks in use, 64 bytes at a time: fixed
+            // 64-byte memsets inline as vector stores, while one 128-byte
+            // memset compiles to `rep stos`, whose start-up cost made the
+            // lane set-up cost about half a 16-lane compression.
+            std::memset(lane.tail, 0, 64);
+            if (tail_bytes == 128) std::memset(lane.tail + 64, 0, 64);
+            if (rem != 0) std::memcpy(lane.tail, lane.data + 64 * lane.full_blocks, rem);
+            lane.tail[rem] = 0x80;
+            store_be64(lane.tail + tail_bytes - 8, static_cast<std::uint64_t>(length) * 8);
+            max_blocks = std::max(max_blocks, lane.total_blocks);
+        }
+        soa_init_states(soa);
+        const std::uint8_t* blocks[kSoaLanes];
+        for (std::size_t k = 0; k < max_blocks; ++k) {
+            for (std::size_t l = 0; l < kSoaLanes; ++l) {
+                // Finished lanes (and unused lanes past `group`) keep
+                // compressing their tail; the churned state is never read.
+                const Lane& lane = lanes[l < group ? l : 0];
+                if (k < lane.full_blocks) {
+                    blocks[l] = lane.data + 64 * k;
+                } else if (k < lane.total_blocks) {
+                    blocks[l] = lane.tail + 64 * (k - lane.full_blocks);
+                } else {
+                    blocks[l] = lane.tail;
+                }
+            }
+            eng.compress16(soa, blocks);
+            for (std::size_t l = 0; l < group; ++l) {
+                if (lanes[l].total_blocks == k + 1) {
+                    soa_store_lane(soa, l, out[base + l].data());
+                }
+            }
+        }
+    }
+}
+
+// Two phases keep lane density near 100% regardless of the step
+// distribution:
+//   A) jobs bucketed by step count; each full group of 16 same-step jobs
+//      advances in lockstep with no masking and no idle lanes;
+//   B) the <16 leftovers of each bucket merge into one descending-sorted
+//      pool drained by lane refill: all lanes advance by the minimum
+//      remaining count, finished lanes store out and reload the next job.
+void run_chain_jobs(std::span<const ChainJob> jobs) {
+    const Sha256SoaEngine& eng = sha256_soa_engine();
+
+    // Counting sort into per-step buckets (descending). Zero-step jobs are
+    // verbatim copies.
+    std::array<std::vector<const ChainJob*>, kMaxChainSteps + 1> buckets;
+    for (const ChainJob& job : jobs) {
+        if (job.steps == 0) {
+            if (job.dst != job.src) std::memcpy(job.dst, job.src, 32);
+            continue;
+        }
+        buckets[job.steps].push_back(&job);
+    }
+
+    alignas(64) std::uint32_t soa[kSoaWords] = {};
+    std::vector<const ChainJob*> leftover;
+
+    for (std::size_t s = kMaxChainSteps; s >= 1; --s) {
+        const auto& bucket = buckets[s];
+        std::size_t pos = 0;
+        for (; pos + kSoaLanes <= bucket.size(); pos += kSoaLanes) {
+            for (std::size_t l = 0; l < kSoaLanes; ++l) {
+                soa_load_lane(soa, l, bucket[pos + l]->src);
+            }
+            eng.chain16(soa, s);
+            for (std::size_t l = 0; l < kSoaLanes; ++l) {
+                soa_store_lane(soa, l, bucket[pos + l]->dst);
+            }
+        }
+        for (; pos < bucket.size(); ++pos) leftover.push_back(bucket[pos]);
+    }
+    if (leftover.empty()) return;
+
+    // Lane-refill drain. Inactive lanes keep hashing whatever digest they
+    // last held; their output is never read.
+    std::array<unsigned, kSoaLanes> rem{};
+    std::array<std::uint8_t*, kSoaLanes> dst{};
+    std::array<bool, kSoaLanes> alive{};
+    std::size_t next = 0;
+    unsigned active = 0;
+    for (std::size_t l = 0; l < kSoaLanes && next < leftover.size(); ++l, ++next) {
+        soa_load_lane(soa, l, leftover[next]->src);
+        rem[l] = leftover[next]->steps;
+        dst[l] = leftover[next]->dst;
+        alive[l] = true;
+        ++active;
+    }
+    while (active > 0) {
+        unsigned step = ~0u;
+        for (std::size_t l = 0; l < kSoaLanes; ++l) {
+            if (alive[l]) step = std::min(step, rem[l]);
+        }
+        eng.chain16(soa, step);
+        for (std::size_t l = 0; l < kSoaLanes; ++l) {
+            if (!alive[l]) continue;
+            rem[l] -= step;
+            if (rem[l] != 0) continue;
+            soa_store_lane(soa, l, dst[l]);
+            if (next < leftover.size()) {
+                soa_load_lane(soa, l, leftover[next]->src);
+                rem[l] = leftover[next]->steps;
+                dst[l] = leftover[next]->dst;
+                ++next;
+            } else {
+                alive[l] = false;
+                --active;
+            }
+        }
+    }
 }
 
 }  // namespace detail

@@ -7,12 +7,16 @@
 // tests/test_sha256_kat.cpp.
 //
 // Besides the streaming one-shot API there is a batch surface —
-// hash32_many / hash_pair_many / hash_fixed_many / hash_many — that hashes
-// N independent messages through a multi-lane compression backend
-// (SHA-NI, 8-way AVX2, or a 4-way interleaved portable loop; chosen once at
-// runtime by CPU dispatch, overridable via sha256_set_backend or the
-// DLSBL_SHA256_IMPL environment variable). All backends are bit-identical;
-// batching changes throughput, never output.
+// hash_pair_many / hash_fixed_many / hash_many / hash32_many — that hashes
+// N independent messages. The first three run 16 messages per pass on the
+// struct-of-arrays engine of crypto/sha256_soa.hpp (AVX-512, or the active
+// backend's lane kernel without it); a group of fewer than 6 messages takes
+// the one-shot path. hash32_many, the eager verifier's chain step, runs on
+// the backend's lane kernel. The backend (SHA-NI, 8-way AVX2, or a 4-way
+// interleaved portable loop) is chosen once at runtime by CPU dispatch,
+// overridable via sha256_set_backend or the DLSBL_SHA256_IMPL environment
+// variable. All backends and engines are bit-identical; batching changes
+// throughput, never output.
 #pragma once
 
 #include <array>
@@ -50,25 +54,27 @@ class Sha256 {
     // Batch surface. Each call hashes `n` INDEPENDENT messages and is
     // bit-identical to n calls of the scalar one-shot API.
 
-    // out[i] = H(in[32*i .. 32*i+31]). One padded block per message — the
-    // WOTS hot shape (hash a 32-byte secret or chain link).
+    // out[i] = H(in[32*i .. 32*i+31]). One padded block per message — one
+    // step of the eager WOTS verifier's lockstep chain walk.
     static void hash32_many(const std::uint8_t* in, Digest* out,
                             std::size_t n) noexcept;
     static void hash32_many(std::span<const Digest> in,
                             std::span<Digest> out) noexcept;
 
     // out[i] = hash_pair(pairs[2*i], pairs[2*i+1]); pairs.size() must be
-    // 2*out.size(). Adjacent-pair layout matches a Merkle level in place.
+    // 2*out.size(). Adjacent-pair layout matches a Merkle level, and `out`
+    // may be the front of `pairs` (a level combined in place).
     static void hash_pair_many(std::span<const Digest> pairs,
                                std::span<Digest> out) noexcept;
 
     // out[i] = H(in[len*i .. len*i+len-1]): n messages of one common length,
-    // packed back to back. Every lane pads identically, so no lane ever
-    // idles — the shape of committing or re-checking many data blocks.
+    // packed back to back — the shape of committing or re-checking many
+    // data blocks. A front end to the ragged stream hasher.
     static void hash_fixed_many(const std::uint8_t* in, std::size_t len, Digest* out,
                                 std::size_t n) noexcept;
 
-    // out[i] = hash(inputs[i]) for arbitrary, possibly mixed lengths.
+    // out[i] = hash(inputs[i]) for arbitrary, possibly mixed lengths; the
+    // ragged stream hasher too.
     static void hash_many(std::span<const util::Bytes> inputs,
                           std::span<Digest> out) noexcept;
 

@@ -34,8 +34,10 @@ extern const std::uint32_t kSha256Round[64];
 //                    64-byte blocks (a single stream).
 //   compress_lanes — advances `n` INDEPENDENT chaining states
 //                    (states[8*i .. 8*i+7]) each over its own single
-//                    64-byte block (blocks + 64*i). This is the multi-lane
-//                    hot path behind Sha256::hash32_many / hash_pair_many.
+//                    64-byte block (blocks + 64*i). Two callers: the SoA
+//                    engine's fallback (sha256_soa.hpp) on machines without
+//                    AVX-512 or with the backend pinned to "scalar", and
+//                    Sha256::hash32_many, the eager verifier's chain step.
 struct Sha256Backend {
     const char* name;
     void (*compress)(std::uint32_t* state, const std::uint8_t* blocks,

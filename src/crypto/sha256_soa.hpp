@@ -4,12 +4,23 @@
 // lane's state and block in array-of-structs layout, which costs a state
 // memcpy, a block memcpy and a scalar byte-swapped digest extraction per
 // lane per compression — acceptable for one signature, dominant for many.
-// The batch hash-chain workloads instead keep whole WOTS chain populations
-// in struct-of-arrays form, where word `w` of lane `l` lives at
-// `soa[16*w + l]`, and advance them through this engine. Two callers drive
-// it: the batch verifier (crypto/batch_verify.hpp) and WOTS keygen
-// (crypto/wots.hpp), which derives a group of leaves' chain secrets,
-// chains them and hashes their public keys without leaving SoA form.
+// The bulk multi-message hashes instead keep 16 chaining states in
+// struct-of-arrays form, where word `w` of lane `l` lives at
+// `soa[16*w + l]`, and advance them through this engine. Every bulk hash of
+// a run goes through it:
+//
+//   * Sha256::hash_pair_many — Merkle levels (commitment, multiproofs,
+//     MSS authentication paths);
+//   * sha256_streams below, and Sha256::hash_fixed_many / hash_many on top
+//     of it — block payloads and leaves, Pki cache keys, message digests
+//     and one-time public keys;
+//   * run_chain_jobs below — WOTS signing and batch verification;
+//   * WOTS keygen (crypto/wots.hpp), which derives a group of leaves' chain
+//     secrets, chains them and hashes their public keys in SoA form.
+//
+// The eager single-signature verifier (WotsKeyPair::verify via
+// Sha256::hash32_many) stays on compress_lanes: it is the comparator the
+// deferred batch path is measured against.
 //
 //   * chain16    — the hash32 chain step d <- SHA256(d), applied `steps`
 //                  times to 16 independent 32-byte digests. Digest words
@@ -18,9 +29,7 @@
 //                  next), so the inner loop has no byte-swaps, no state
 //                  init copies and no digest extraction at all.
 //   * compress16 — one compression of 16 independent states, each over its
-//                  own 64-byte block (lane l reads blocks[l]). This is the
-//                  engine behind the HMAC steps of keygen and batched
-//                  public-key/cache-key streams.
+//                  own 64-byte block (lane l reads blocks[l]).
 //
 // Two implementations exist: an AVX-512 kernel (sha256_soa512.cpp) holding
 // all 16 lanes in zmm registers, and a fallback that routes through the
@@ -31,6 +40,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+
+#include "crypto/sha256.hpp"
+#include "crypto/sha256_compress.hpp"
 
 namespace dlsbl::crypto::detail {
 
@@ -38,6 +51,17 @@ inline constexpr std::size_t kSoaLanes = 16;
 
 // SoA digest block: word w of lane l at index 16*w + l.
 inline constexpr std::size_t kSoaWords = 8 * kSoaLanes;
+
+// Groups of fewer messages than this skip the engine and hash one at a
+// time on the one-shot path (SHA-NI where present). A 16-lane pass costs
+// the same at any live-lane count. On a 4-vCPU AVX-512 + SHA-NI Xeon (best
+// of 31 timings, five runs) one 16-pair hash_pair_many group took
+// 0.78-0.96 us against 0.13-0.15 us for one hash_pair, a crossover at
+// 5.7-6.9 pairs; 16 one-block (32 B) messages crossed over at 4.7-6.0 and
+// 16 two-block (58 B) ones at 5.9-7.5. Without this rule 16-leaf Merkle
+// trees, the top levels of every tree and short multiproof levels pay for
+// idle lanes.
+inline constexpr std::size_t kSoaMinGroup = 6;
 
 // Lane `lane` of an SoA digest block from / to a 32-byte digest (the eight
 // words big-endian, as SHA-256 reads and writes them).
@@ -63,6 +87,13 @@ inline void soa_store_lane(const std::uint32_t* soa, std::size_t lane,
     }
 }
 
+// Every lane of an SoA state block at the SHA-256 initial value.
+inline void soa_init_states(std::uint32_t* soa) noexcept {
+    for (std::size_t w = 0; w < 8; ++w) {
+        for (std::size_t l = 0; l < kSoaLanes; ++l) soa[kSoaLanes * w + l] = kSha256Init[w];
+    }
+}
+
 struct Sha256SoaEngine {
     const char* name;
     // d <- SHA256(d) `steps` times for 16 independent 32-byte digests held
@@ -84,5 +115,29 @@ const Sha256SoaEngine& sha256_soa_lanes_engine();
 // it and the generic backend is not pinned to "scalar" (so pinned
 // benchmark baselines stay honest), otherwise the lanes fallback.
 const Sha256SoaEngine& sha256_soa_engine();
+
+// Batch one-shot SHA-256 over `n` independent contiguous byte streams:
+// out[i] = H(data[i][0..len[i])). Streams of mixed lengths hash 16 at a
+// time through the engine; bit-identical to Sha256::hash per stream. The
+// one ragged multi-message hasher: Sha256::hash_fixed_many and hash_many
+// are front ends to it.
+void sha256_streams(const std::uint8_t* const* data, const std::size_t* len,
+                    std::size_t n, Digest* out) noexcept;
+
+// One hash chain to advance: dst <- H^steps(src), 32-byte values. src and
+// dst may be the same value; distinct jobs must not overlap.
+struct ChainJob {
+    const std::uint8_t* src = nullptr;
+    std::uint8_t* dst = nullptr;
+    std::uint8_t steps = 0;  // at most kMaxChainSteps
+};
+
+// The longest chain a job may ask for: the WOTS chain length (w = 16).
+inline constexpr unsigned kMaxChainSteps = 15;
+
+// Advances every job at full 16-lane density: full groups of same-step
+// jobs run in lockstep, the rest drain by lane refill. Bit-identical to
+// stepping each job on its own with Sha256::hash.
+void run_chain_jobs(std::span<const ChainJob> jobs);
 
 }  // namespace dlsbl::crypto::detail

@@ -11,10 +11,10 @@
 // and mixing those with live zmm state triggers SSE/AVX transition stalls
 // that cost more than either kernel saves.)
 //
-// The chain16 entry point is the hot loop of batch verification and WOTS
-// keygen: a hash32 chain step d <- SHA256(d) needs no byte order fixups
-// between steps at all, because the native word output of one compression
-// is exactly the message word input of the next.
+// The chain16 entry point is the hot loop of batch verification, WOTS
+// keygen and WOTS signing: a hash32 chain step d <- SHA256(d) needs no
+// byte order fixups between steps at all, because the native word output
+// of one compression is exactly the message word input of the next.
 //
 // Built with per-function target attributes so the file also compiles in
 // builds without -mavx512f (e.g. sanitizer targets that glob src/**.cpp).

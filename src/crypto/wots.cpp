@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string_view>
 
-#include "crypto/batch_verify.hpp"
-#include "crypto/sha256_compress.hpp"
 #include "crypto/sha256_soa.hpp"
 #include "obs/profiler.hpp"
 
@@ -18,9 +16,13 @@ using detail::kSoaWords;
 constexpr std::size_t kChains = WotsKeyPair::kChains;
 constexpr std::size_t kBlockBytes = 64;  // SHA-256 block = HMAC key block
 
+static_assert(WotsKeyPair::kChainLength == detail::kMaxChainSteps);
+
 // Advance chain i by steps[i] hash applications, all chains in lockstep:
 // each round batches every still-active chain through the multi-lane
-// hasher. Bit-identical to stepping each chain on its own.
+// hasher. Bit-identical to stepping each chain on its own. The eager
+// verifier's path: verify() is the comparator batch verification
+// (crypto/batch_verify.hpp) is measured against, so it keeps this shape.
 void chain_many(std::array<Digest, kChains>& values,
                 const std::array<unsigned, kChains>& steps) {
     std::array<Digest, kChains> batch;
@@ -80,8 +82,8 @@ void hmac_pad_midstates(const detail::Sha256SoaEngine& eng, const Digest* seeds,
             blocks[l][i] = static_cast<std::uint8_t>((i < key.size() ? key[i] : 0) ^ pad);
         }
         lane_blocks[l] = blocks[l];
-        for (std::size_t w = 0; w < 8; ++w) soa[kSoaLanes * w + l] = detail::kSha256Init[w];
     }
+    detail::soa_init_states(soa);
     eng.compress16(soa, lane_blocks);
 }
 
@@ -220,7 +222,14 @@ WotsKeyPair::Signature WotsKeyPair::sign(std::span<const std::uint8_t> message) 
     const auto digits = digits_for(message);
     Signature sig;
     chain_values(&seed_, 1, 0, sig.values.data());
-    chain_many(sig.values, digits);
+    // Chain c steps digits[c] times from its secret, in place, through the
+    // lane-refill scheduler batch verification uses.
+    std::array<detail::ChainJob, kChains> jobs;
+    for (std::size_t c = 0; c < kChains; ++c) {
+        jobs[c] = {sig.values[c].data(), sig.values[c].data(),
+                   static_cast<std::uint8_t>(digits[c])};
+    }
+    detail::run_chain_jobs(jobs);
     return sig;
 }
 

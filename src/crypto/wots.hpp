@@ -12,7 +12,8 @@
 // 16-lane SHA-256 engine (crypto/sha256_soa.hpp): the secrets, their
 // chains and the public-key hashes never leave the engine's lane layout.
 // A single key is a batch of one, and sign() takes its secrets from the
-// same batched PRF, so the secrets are derived in one place.
+// same batched PRF, so the secrets are derived in one place; it steps them
+// through the lane-refill chain scheduler batch verification uses.
 #pragma once
 
 #include <array>

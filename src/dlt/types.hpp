@@ -40,12 +40,17 @@ struct ProblemInstance {
     void validate() const;
 };
 
+// The domain of a processing rate (a w_i, or a bid standing in for one):
+// finite and > 0. NaN, zeros of either sign, negatives and infinities are
+// outside it.
+inline bool is_valid_rate(double w_i) noexcept { return w_i > 0.0 && std::isfinite(w_i); }
+
 // The checks ProblemInstance::validate() makes on z and on each w_i, for
 // code that walks a w vector itself (leave_one_out_makespan checks the
 // rates as it reads them).
 void validate_bus_time(double z);
 inline void validate_rate(double w_i) {
-    if (!(w_i > 0.0) || !std::isfinite(w_i)) {
+    if (!is_valid_rate(w_i)) {
         throw std::invalid_argument("ProblemInstance: all w_i must be finite and > 0");
     }
 }

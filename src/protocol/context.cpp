@@ -36,6 +36,17 @@ void ProtocolConfig::validate() const {
     }
     dlt::ProblemInstance instance{kind, z, true_w};
     instance.validate();
+    // Every bid a strategy broadcasts must be a rate: a bid outside the
+    // domain would be discarded by every peer and the run would stall.
+    for (std::size_t i = 0; i < strategies.size(); ++i) {
+        const Strategy& strategy = strategies[i];
+        if (!dlt::is_valid_rate(strategy.bid_factor * true_w[i]) ||
+            (strategy.second_bid_factor.has_value() &&
+             !dlt::is_valid_rate(*strategy.second_bid_factor * true_w[i]))) {
+            throw std::invalid_argument("ProtocolConfig: strategy of P" + std::to_string(i + 1) +
+                                        " bids outside (0, inf)");
+        }
+    }
     if (block_count == 0) throw std::invalid_argument("ProtocolConfig: block_count == 0");
     if (mss_height == 0 && signature_algorithm != crypto::SignatureAlgorithm::kFast) {
         throw std::invalid_argument(

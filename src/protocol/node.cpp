@@ -171,6 +171,9 @@ void NodeCore::apply_bid(std::size_t sender, const wire::SignedFrame& envelope,
     const std::string& from = ctx_.processor_names()[sender];
     const auto body = wire::BidView::parse(envelope.view().payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
+    // A bid outside the rate domain is discarded like a malformed one
+    // (§4 Bidding): no allocation can be computed from it.
+    if (!dlt::is_valid_rate(body->bid)) return;
 
     if (const auto& existing = first_bids_[sender]) {
         if (std::ranges::equal(existing->view().payload, envelope.view().payload)) {

@@ -247,11 +247,14 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
     for (const auto& [submitter, body] : bid_vector_responses_) {
         for (const auto& entry : body.bids) {
             const auto bid = wire::BidView::parse(entry.payload);
-            if (bid && entry.signer == bid->processor && bid->job_id == ctx_.job_id()) {
+            if (bid && entry.signer == bid->processor && bid->job_id == ctx_.job_id() &&
+                dlt::is_valid_rate(bid->bid)) {
                 screened.push_back({&submitter, &entry, *bid});
             } else {
                 // Offense (iv): an entry that "fails authentication" —
-                // the submitter altered someone's signed bid.
+                // the submitter altered someone's signed bid. A bid
+                // outside the rate domain counts the same: honest nodes
+                // discard such a bid, so none keeps one to submit.
                 deviants.insert(submitter);
             }
         }
@@ -797,6 +800,7 @@ void RefereeCore::apply_churn_bid(std::size_t sender, const wire::SignedFrame& e
     const std::string& from = ctx_.processor_names()[sender];
     const auto body = wire::BidView::parse(envelope.view().payload);
     if (!body || body->processor != from || body->job_id != ctx_.job_id()) return;
+    if (!dlt::is_valid_rate(body->bid)) return;  // discarded, as peers discard it
     // First bid wins: a stale rejoin replaying the identical signed bid is
     // benign, and a genuinely different second bid is offense (i) — the
     // peers' accusation path handles that, not the churn recorder.

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <tuple>
@@ -22,6 +23,7 @@
 #include "crypto/mss.hpp"
 #include "crypto/pki.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_soa.hpp"
 #include "crypto/wots.hpp"
 #include "util/bytes.hpp"
 #include "util/frame.hpp"
@@ -91,52 +93,62 @@ TEST(CryptoBatch, HashManyMatchesScalarOnRandomInputs) {
     }
 }
 
+// Batch sizes around the 16-lane group and the small-group cutoff
+// (detail::kSoaMinGroup = 6): one-shot groups (1, 2, 5), the smallest
+// engine groups (6, 7), whole groups with and without a remainder (15, 16,
+// 17, 31, 33) and many groups with a short tail (257).
+const std::vector<std::size_t> kLaneCounts = {1, 2, 5, 6, 7, 15, 16, 17, 31, 33, 257};
+
 TEST(CryptoBatch, Hash32ManyAndPairManyMatchScalar) {
     util::Xoshiro256 rng{0x5eedu};
-    std::vector<Digest> digests(257);  // odd size: exercises lane remainders
-    for (auto& d : digests) {
-        for (auto& byte : d) byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-
     BackendGuard guard;
-    for (const auto& backend : sha256_available_backends()) {
-        ASSERT_TRUE(sha256_set_backend(backend));
-
-        std::vector<Digest> out(digests.size());
-        Sha256::hash32_many(digests, out);
-        for (std::size_t i = 0; i < digests.size(); ++i) {
-            ASSERT_EQ(out[i], Sha256::hash(std::span<const std::uint8_t>(
-                                  digests[i].data(), digests[i].size())))
-                << "backend=" << backend << " index=" << i;
+    for (const std::size_t n : kLaneCounts) {
+        std::vector<Digest> digests(2 * n);
+        for (auto& d : digests) {
+            for (auto& byte : d) byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
         }
+        for (const auto& backend : sha256_available_backends()) {
+            ASSERT_TRUE(sha256_set_backend(backend));
 
-        const std::size_t pair_count = digests.size() / 2;
-        std::vector<Digest> combined(pair_count);
-        Sha256::hash_pair_many(
-            std::span<const Digest>(digests.data(), 2 * pair_count), combined);
-        for (std::size_t i = 0; i < pair_count; ++i) {
-            ASSERT_EQ(combined[i], Sha256::hash_pair(digests[2 * i], digests[2 * i + 1]))
-                << "backend=" << backend << " index=" << i;
-        }
+            std::vector<Digest> out(n);
+            Sha256::hash32_many(std::span<const Digest>(digests.data(), n), out);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(out[i], Sha256::hash(std::span<const std::uint8_t>(
+                                      digests[i].data(), digests[i].size())))
+                    << "backend=" << backend << " n=" << n << " index=" << i;
+            }
 
-        // In-place hash32_many (the WOTS chain step shape).
-        std::vector<Digest> chained = digests;
-        Sha256::hash32_many(chained, chained);
-        for (std::size_t i = 0; i < digests.size(); ++i) {
-            ASSERT_EQ(chained[i], out[i]) << "backend=" << backend << " index=" << i;
+            // In-place hash32_many (the WOTS chain step shape).
+            std::vector<Digest> chained(digests.begin(), digests.begin() + n);
+            Sha256::hash32_many(chained, chained);
+            ASSERT_EQ(chained, out) << "backend=" << backend << " n=" << n;
+
+            std::vector<Digest> combined(n);
+            Sha256::hash_pair_many(digests, combined);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(combined[i], Sha256::hash_pair(digests[2 * i], digests[2 * i + 1]))
+                    << "backend=" << backend << " n=" << n << " index=" << i;
+            }
+
+            // In-place hash_pair_many: `out` is the front of `pairs`, the
+            // shape of a Merkle level combined into its own storage.
+            std::vector<Digest> level = digests;
+            Sha256::hash_pair_many(level, std::span<Digest>(level.data(), n));
+            ASSERT_EQ(std::vector<Digest>(level.begin(), level.begin() + n), combined)
+                << "backend=" << backend << " n=" << n;
         }
     }
 }
 
 // Fixed-length batches at every padding shape (empty, one block, the
-// 55/56-byte boundary, the 58-byte block leaf, several blocks) and lane
-// counts around the 64-lane batch: hash_fixed_many must equal the scalar
-// one-shot per message, on every backend.
+// 55/56-byte boundary, the 58-byte block leaf, several blocks) and at every
+// lane count of kLaneCounts: hash_fixed_many must equal the scalar one-shot
+// per message, on every backend.
 TEST(CryptoBatch, HashFixedManyMatchesScalar) {
     util::Xoshiro256 rng{0xf1edu};
     BackendGuard guard;
     for (const std::size_t len : {0u, 1u, 32u, 55u, 56u, 58u, 63u, 64u, 65u, 130u}) {
-        for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+        for (const std::size_t n : kLaneCounts) {
             util::Bytes in(len * n);
             for (auto& byte : in) byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
             for (const auto& backend : sha256_available_backends()) {
@@ -146,8 +158,51 @@ TEST(CryptoBatch, HashFixedManyMatchesScalar) {
                 for (std::size_t i = 0; i < n; ++i) {
                     ASSERT_EQ(out[i], Sha256::hash(std::span<const std::uint8_t>(
                                           in.data() + len * i, len)))
-                        << "backend=" << backend << " len=" << len << " index=" << i;
+                        << "backend=" << backend << " len=" << len << " n=" << n
+                        << " index=" << i;
                 }
+            }
+        }
+    }
+}
+
+// Merkle trees whose levels span one-shot groups, engine groups and both:
+// root() and verify_many must match a tree built pair by pair with the
+// one-shot hash_pair, on every backend.
+TEST(CryptoBatch, MerkleTreeMatchesScalarPairTree) {
+    BackendGuard guard;
+    for (const std::size_t n : {1u, 2u, 3u, 5u, 16u, 17u, 1000u, 4097u}) {
+        std::vector<Digest> leaves;
+        for (std::size_t i = 0; i < n; ++i) leaves.push_back(test_seed(1000 + i));
+        std::vector<Digest> level = leaves;
+        std::size_t width = 1;
+        while (width < n) width *= 2;
+        level.resize(width, leaves.back());
+        while (level.size() > 1) {
+            std::vector<Digest> above(level.size() / 2);
+            for (std::size_t i = 0; i < above.size(); ++i) {
+                above[i] = Sha256::hash_pair(level[2 * i], level[2 * i + 1]);
+            }
+            level = std::move(above);
+        }
+        const Digest root = level.front();
+
+        std::vector<std::vector<std::uint64_t>> index_sets = {{0}, {n - 1}};
+        index_sets.emplace_back(n);
+        std::iota(index_sets.back().begin(), index_sets.back().end(), std::uint64_t{0});
+        index_sets.emplace_back();
+        for (std::uint64_t i = 1; i < n; i += 3) index_sets.back().push_back(i);
+        for (const auto& backend : sha256_available_backends()) {
+            ASSERT_TRUE(sha256_set_backend(backend));
+            const MerkleTree tree(leaves);
+            ASSERT_EQ(tree.root(), root) << "backend=" << backend << " n=" << n;
+            for (const auto& indices : index_sets) {
+                if (indices.empty()) continue;
+                std::vector<Digest> chosen;
+                for (const std::uint64_t i : indices) chosen.push_back(leaves[i]);
+                EXPECT_TRUE(MerkleTree::verify_many(root, n, indices, chosen,
+                                                    tree.prove_many(indices)))
+                    << "backend=" << backend << " n=" << n << " k=" << indices.size();
             }
         }
     }
@@ -260,7 +315,10 @@ class WotsMssReference {
 // 0-6 (h = 0 leaves 67 chains, not a multiple of 16 lanes; h = 5 and 6 span
 // several groups of 16 leaves), every backend (scalar also pins the SoA
 // engine to its lanes fallback), and several job counts. Roots at h = 0
-// and h = 4 are pinned as hex, so the reference itself cannot drift.
+// and h = 4 are pinned as hex, so the reference itself cannot drift. The
+// signatures of up to four leaves per key match the reference's
+// single-stream chains, which pins WotsKeyPair::sign (its chains stepped by
+// detail::run_chain_jobs) on both engines.
 TEST(CryptoBatch, MssWotsKeygenMatchesScalarReference) {
     const Digest seed = test_seed(2);
     const std::vector<std::pair<unsigned, std::string>> pinned_roots = {

@@ -1,6 +1,7 @@
 // Deviation handling: every offense of §4 must be detected, fined, and
 // strictly unprofitable (Lemmas 5.1/5.2, Theorem 5.1, Corollary 5.1).
 #include "agents/zoo.hpp"
+#include "dlt/closed_form.hpp"
 #include "protocol/detail/run_internals.hpp"
 #include "protocol/dispatch.hpp"
 #include "protocol/drivers/drivers.hpp"
@@ -8,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -193,6 +196,11 @@ TEST(Deviants, HonestProcessorsNeverFined) {
     }
 }
 
+// The key seed of processor `i` in a hosted run.
+std::uint64_t signer_seed(const ProtocolConfig& config, std::size_t i) {
+    return config.seed * 1000 + i;
+}
+
 // A run wired like run_protocol, except that processor `index`'s core is
 // hosted behind the endpoint `wrap` builds around it.
 struct HostedRun {
@@ -214,7 +222,7 @@ HostedRun run_hosted(const ProtocolConfig& config, std::size_t index, Wrap wrap)
     std::vector<std::unique_ptr<crypto::Signer>> signers;
     for (std::size_t i = 0; i < context.processor_count(); ++i) {
         signers.push_back(crypto::make_registered_signer(
-            context.pki(), context.processor_names()[i], config.seed * 1000 + i,
+            context.pki(), context.processor_names()[i], signer_seed(config, i),
             config.signature_algorithm, config.mss_height, config.crypto_keygen_jobs));
     }
     run.referee = std::make_unique<RefereeCore>(context);
@@ -307,6 +315,74 @@ TEST(Deviants, EarlyAccusationWaitsForTheFine) {
     EXPECT_EQ(run.context->termination_reason(), "unfounded double-bid accusation by P3");
     EXPECT_EQ(run.referee->fines().size(), 1u);
     EXPECT_TRUE(run.referee->fines().contains("P3"));
+}
+
+// P3 runs a real NodeCore, but first broadcasts a validly signed bid of
+// `bid`, signed with a twin of its own key.
+class OutOfDomainBidder final : public Endpoint {
+ public:
+    OutOfDomainBidder(RunContext& context, NodeCore& core, double bid)
+        : Endpoint(core.name()), ctx_(context), core_(core), bid_(bid) {}
+
+    void on_start() override {
+        crypto::Pki twin_registry;
+        const auto twin = crypto::make_registered_signer(
+            twin_registry, name(), signer_seed(ctx_.config(), 2),
+            ctx_.config().signature_algorithm, ctx_.config().mss_height);
+        BidBody body;
+        body.job_id = ctx_.job_id();
+        body.processor = name();
+        body.bid = bid_;
+        ctx_.transport().broadcast(
+            name(), to_wire(MsgType::kBid),
+            wire::flat_encode(crypto::sign_message(*twin, name(), wire::flat_encode(body))));
+        core_.on_start();
+    }
+    void on_message(const WireMessage& message) override { core_.on_message(message); }
+
+ private:
+    RunContext& ctx_;
+    NodeCore& core_;
+    double bid_;
+};
+
+TEST(Deviants, NonFiniteBidIsDiscarded) {
+    // §4 Bidding: a bid that is not a rate is discarded like a malformed
+    // one, so P3's genuine bid that follows is its first bid. The run
+    // settles on it and nobody is fined.
+    const ProtocolConfig config = base_config();
+    const auto honest_alpha = dlt::optimal_allocation({config.kind, config.z, config.true_w});
+    for (const double bid : {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0, -1.0,
+                             std::numeric_limits<double>::infinity()}) {
+        HostedRun run;
+        ASSERT_NO_THROW(run = run_hosted(config, 2, [bid](RunContext& context, NodeCore& core) {
+            return std::make_unique<OutOfDomainBidder>(context, core, bid);
+        })) << "bid=" << bid;
+        EXPECT_FALSE(run.context->terminated()) << run.context->termination_reason();
+        EXPECT_TRUE(run.referee->settled()) << "bid=" << bid;
+        EXPECT_TRUE(run.referee->fines().empty()) << "bid=" << bid;
+        for (const auto& node : run.nodes) {
+            EXPECT_EQ(node->allocation(), honest_alpha) << node->name() << " bid=" << bid;
+        }
+    }
+}
+
+TEST(Deviants, ConfigRejectsBidsOutsideTheRateDomain) {
+    for (const double factor : {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0, -1.0,
+                                std::numeric_limits<double>::infinity()}) {
+        auto config = base_config();
+        config.strategies[2] = agents::misreporter(factor);
+        EXPECT_THROW(config.validate(), std::invalid_argument) << "factor=" << factor;
+        config.strategies[2] = agents::inconsistent_bidder(1.0, factor);
+        EXPECT_THROW(config.validate(), std::invalid_argument) << "factor=" << factor;
+    }
+    // A finite factor whose bid overflows: 1e308 x w_2 = 2e308 is +inf.
+    auto config = base_config();
+    config.strategies[1] = agents::misreporter(1e308);
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+    // The smallest positive double is still a rate.
+    config.strategies[1] = agents::misreporter(5e-324);
+    EXPECT_NO_THROW(config.validate());
 }
 
 TEST(Deviants, NoRewardsWithoutACheater) {
