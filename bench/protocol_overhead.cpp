@@ -15,6 +15,9 @@
 // substrate — the one real-time expense the mechanism adds — across SHA-256
 // backends and MSS keygen job counts. `--json-out PATH` writes those
 // timings to a BENCH_*.json document (bench/bench_json.hpp).
+//
+// `--smoke` times only the message path: the referee's envelope pipeline,
+// and the bare bus fanning out the wide_bus bid round.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -34,6 +37,7 @@
 #include "protocol/wire.hpp"
 #include "dlt/finish_time.hpp"
 #include "protocol/runner.hpp"
+#include "sim/network.hpp"
 #include "util/statistics.hpp"
 #include "util/table.hpp"
 
@@ -158,6 +162,37 @@ double message_path_rate(std::size_t batch, std::size_t trials) {
     return static_cast<double>(kEnvelopes) / samples[samples.size() / 2];
 }
 
+// The bus alone, at the wide_bus bid round: `processes` processes that
+// ignore what they receive each broadcast one frame, so every process
+// receives every other one's, each delivery traced. Host seconds per
+// delivery (median of `trials`), set-up and teardown excluded.
+double broadcast_fanout_seconds(std::size_t processes, std::size_t trials) {
+    class Sink final : public sim::Process {
+     public:
+        explicit Sink(std::string name) : Process(std::move(name)) {}
+        void on_message(const sim::Envelope& /*envelope*/) override {}
+    };
+    std::vector<std::unique_ptr<Sink>> sinks;
+    for (std::size_t i = 0; i < processes; ++i) {
+        sinks.push_back(std::make_unique<Sink>("P" + std::to_string(i + 1)));
+    }
+    const util::Frame bid(util::Bytes(64, 0x5a));
+    const double deliveries = static_cast<double>(processes * (processes - 1));
+    std::vector<double> samples;
+    for (std::size_t t = 0; t < trials; ++t) {
+        sim::Simulator simulator;
+        sim::Network network(simulator, 0.05);
+        for (const auto& sink : sinks) network.attach(*sink);
+        const auto start = std::chrono::steady_clock::now();
+        for (const auto& sink : sinks) network.broadcast(sink->name(), 1, bid);
+        simulator.run();
+        const auto stop = std::chrono::steady_clock::now();
+        samples.push_back(std::chrono::duration<double>(stop - start).count() / deliveries);
+    }
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+}
+
 // End-to-end wall-clock per full Merkle-signed run at the given deferred-
 // verification batch size (1 = eager). Keygen dominates this number on a
 // SHA-NI host — the microbench above is the message-path signal; this one
@@ -196,7 +231,8 @@ Throughput message_throughput(std::size_t verify_batch, std::size_t trials) {
 
 int main(int argc, char** argv) {
     const auto json_out = bench::json_out_from_args(&argc, argv);
-    // --smoke: only the message-path series, at a budget fit for ctest.
+    // --smoke: only the message-path series and the bus fan-out, at a
+    // budget fit for ctest.
     // The sim grid and the keygen-bound wall-clock sections are full-length
     // measurements the bench-regress gate does not track.
     bool smoke = false;
@@ -217,6 +253,10 @@ int main(int argc, char** argv) {
         report.line(bench::fmt2(
             "flat codec + batch 64       : %.0f msg/s  (speedup %.2fx)", path_b64,
             path_b64 / path_legacy));
+        report.section("bus fan-out (256 processes, one broadcast each, traced)");
+        const std::size_t fanout_trials = 10;
+        const double fanout = broadcast_fanout_seconds(256, fanout_trials);
+        report.line(bench::fmt("seconds per delivery        : %.3g", fanout));
         report.section("verdicts");
         report.verdict(path_b16 >= 1.5 * path_legacy,
                        "flat codec + deferred batch verification moves >=1.5x more "
@@ -229,6 +269,7 @@ int main(int argc, char** argv) {
                 {"message_path/legacy_eager", path_trials, 64.0 / path_legacy, 0.0},
                 {"message_path/flat_batch16", path_trials, 64.0 / path_b16, 0.0},
                 {"message_path/flat_batch64", path_trials, 64.0 / path_b64, 0.0},
+                {"bus/broadcast_fanout_256", fanout_trials, fanout, 0.0},
             };
             const std::map<std::string, double> derived{
                 {"messages_per_sec_legacy_eager", path_legacy},

@@ -72,7 +72,8 @@ void investigate(const protocol::Strategy& strategy, std::size_t slot,
         // Replay the referee's verdict lines from the network trace.
         for (const auto& event :
              internals.trace().filter(sim::TraceKind::kVerdict)) {
-            std::printf("  t=%.6f  referee: %s\n", event.time, event.detail.c_str());
+            std::printf("  t=%.6f  referee: %s\n", event.time,
+                        internals.trace().detail(event).c_str());
         }
         // And the money movements.
         for (const auto& entry : internals.context.ledger().history()) {

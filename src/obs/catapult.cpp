@@ -45,7 +45,8 @@ std::string catapult_from_trace(const sim::TraceRecorder& trace,
     // Register every actor in first-appearance order (deterministic: the
     // trace itself is deterministic) so tids are stable across runs.
     for (const auto& event : trace.events()) {
-        if (!event.actor.empty()) tracks.id_of(event.actor);
+        const std::string& actor = trace.actor(event);
+        if (!actor.empty()) tracks.id_of(actor);
     }
     const auto bars = sim::gantt_from_trace(trace);
     for (const auto& bar : bars) tracks.id_of(bar.lane);
@@ -95,9 +96,10 @@ std::string catapult_from_trace(const sim::TraceRecorder& trace,
     for (const auto& event : trace.events()) {
         if (event.span_id == 0 || anchors.contains(event.span_id)) continue;
         SpanAnchor anchor;
-        anchor.tid = tracks.id_of(event.actor.empty() ? "protocol" : event.actor);
+        const std::string& actor = trace.actor(event);
+        anchor.tid = tracks.id_of(actor.empty() ? "protocol" : actor);
         anchor.time = event.time;
-        if (event.kind == sim::TraceKind::kSpanBegin) anchor.name = event.detail;
+        if (event.kind == sim::TraceKind::kSpanBegin) anchor.name = trace.detail(event);
         anchors.emplace(event.span_id, anchor);
     }
 
@@ -110,17 +112,17 @@ std::string catapult_from_trace(const sim::TraceRecorder& trace,
             case sim::TraceKind::kNote:
             case sim::TraceKind::kChurn: {
                 std::string body = common(sim::to_string(event.kind), "event", "i",
-                                          tracks.id_of(event.actor), event.time);
+                                          tracks.id_of(trace.actor(event)), event.time);
                 body += ",\"s\":\"t\",\"args\":{\"detail\":" +
-                        json_escape(event.detail) + '}';
+                        json_escape(trace.detail(event)) + '}';
                 push(body);
                 break;
             }
             case sim::TraceKind::kPhaseChange: {
                 // Global instants on the protocol track, named by the phase.
-                std::string body =
-                    common(event.detail.c_str(), "phase", "i", tracks.id_of("protocol"),
-                           event.time);
+                const std::string phase = trace.detail(event);
+                std::string body = common(phase.c_str(), "phase", "i",
+                                          tracks.id_of("protocol"), event.time);
                 body += ",\"s\":\"g\",\"args\":{}";
                 push(body);
                 break;
@@ -167,8 +169,8 @@ std::string catapult_from_trace(const sim::TraceRecorder& trace,
         if (link == 0) continue;
         const auto anchor = anchors.find(link);
         if (anchor == anchors.end()) continue;
-        const std::uint32_t dst_tid =
-            tracks.id_of(event.actor.empty() ? "protocol" : event.actor);
+        const std::string& actor = trace.actor(event);
+        const std::uint32_t dst_tid = tracks.id_of(actor.empty() ? "protocol" : actor);
         if (anchor->second.tid == dst_tid) continue;  // same-track: nesting shows it
         const std::string flow_name =
             anchor->second.name.empty() ? "causal" : anchor->second.name;

@@ -29,9 +29,10 @@ void export_network_metrics(const sim::NetworkMetrics& network,
 
 // SpanSink that mirrors span begin/end records into a sim::TraceRecorder,
 // preserving the exact record shapes the catapult exporter expects:
-// kSpanBegin carries actor+name, kSpanEnd carries empty strings (the begin
-// record already names the span). The sim driver plugs this into the run's
-// SpanBook, so spans reach the catapult export next to the bus records.
+// kSpanBegin interns the actor and keeps the span name as its note, kSpanEnd
+// carries the empty name and no note (the begin record already names the
+// span). The sim driver plugs this into the run's SpanBook, so spans reach
+// the catapult export next to the bus records.
 class TraceSpanSink final : public SpanSink {
  public:
     explicit TraceSpanSink(sim::TraceRecorder& trace) : trace_(trace) {}
@@ -45,8 +46,8 @@ class TraceSpanSink final : public SpanSink {
 
     void span_end(double time, std::uint64_t span_id,
                   std::uint64_t parent_id) override {
-        trace_.record(time, sim::TraceKind::kSpanEnd, std::string(),
-                      std::string(), span_id, parent_id);
+        trace_.record_note(time, sim::TraceKind::kSpanEnd, sim::kNoName, {}, span_id,
+                           parent_id);
     }
 
  private:

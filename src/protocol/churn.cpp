@@ -1,6 +1,7 @@
 #include "protocol/churn.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -27,25 +28,35 @@ void ChurnPlan::validate() const {
                                         name + "'");
         }
     };
+    // Written so that NaN fails every check: an instant is finite and >= 0,
+    // and a window [begin, end) may stay open (end = +inf) but never ends
+    // before it begins.
+    const auto instant = [](double t) { return std::isfinite(t) && t >= 0.0; };
+    const auto positive = [&](double t) { return instant(t) && t > 0.0; };
+    const auto window = [&](double begin, double end) {
+        return instant(begin) && end >= begin;
+    };
     for (const auto& event : events) {
         check_name(event.processor);
-        if (event.time < 0.0) throw std::invalid_argument("churn plan: negative time");
+        if (!instant(event.time)) {
+            throw std::invalid_argument("churn plan: event time not finite and >= 0");
+        }
     }
     for (const auto& loss : losses) {
         check_name(loss.processor);
-        if (loss.begin < 0.0 || loss.end < loss.begin) {
+        if (!window(loss.begin, loss.end)) {
             throw std::invalid_argument("churn plan: bad loss window");
         }
     }
     for (const auto& delay : delays) {
         check_name(delay.processor);
-        if (delay.begin < 0.0 || delay.end < delay.begin || delay.delay < 0.0) {
+        if (!window(delay.begin, delay.end) || !instant(delay.delay)) {
             throw std::invalid_argument("churn plan: bad delay window");
         }
     }
-    if (policy.bid_timeout <= 0.0 || policy.detection_timeout < 0.0 ||
-        policy.processing_grace <= 0.0 || policy.payment_timeout <= 0.0) {
-        throw std::invalid_argument("churn plan: non-positive policy deadline");
+    if (!positive(policy.bid_timeout) || !instant(policy.detection_timeout) ||
+        !positive(policy.processing_grace) || !positive(policy.payment_timeout)) {
+        throw std::invalid_argument("churn plan: bad policy deadline");
     }
 }
 

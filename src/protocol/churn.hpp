@@ -74,8 +74,10 @@ struct ChurnPlan {
         return !events.empty() || !losses.empty() || !delays.empty();
     }
 
-    // Throws std::invalid_argument on negative times, inverted windows, or
-    // events naming the referee/user (only processors churn).
+    // Throws std::invalid_argument on a negative or non-finite event time,
+    // window begin, delay or policy deadline (a window's end may be +inf:
+    // open), an inverted window, a NaN anywhere, or an event naming the
+    // referee/user (only processors churn).
     void validate() const;
 
     // Is `name` crashed at time t?  Crash/restart intervals are half-open:

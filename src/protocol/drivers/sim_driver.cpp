@@ -21,21 +21,23 @@ namespace {
 
 // Presents an Endpoint to the network as a sim::Process; envelopes are
 // mirrored field-for-field into WireMessages, which share the envelope's
-// frame.
+// frame and carry the names its slots stand for.
 class EndpointProcess final : public sim::Process {
  public:
-    explicit EndpointProcess(Endpoint& endpoint)
-        : Process(endpoint.name()), endpoint_(endpoint) {}
+    EndpointProcess(Endpoint& endpoint, const sim::Network& network)
+        : Process(endpoint.name()), endpoint_(endpoint), network_(network) {}
 
     void on_start() override { endpoint_.on_start(); }
     void on_message(const sim::Envelope& envelope) override {
-        endpoint_.on_message(WireMessage{envelope.from, envelope.to, envelope.type,
+        endpoint_.on_message(WireMessage{network_.name(envelope.from),
+                                         network_.name(envelope.to), envelope.type,
                                          envelope.frame, envelope.sent_at,
                                          envelope.span_id});
     }
 
  private:
     Endpoint& endpoint_;
+    const sim::Network& network_;
 };
 
 class SimDriver final : public Driver, public Clock, public Transport {
@@ -49,8 +51,9 @@ class SimDriver final : public Driver, public Clock, public Transport {
             network_.set_delivery_interceptor(
                 [this](const sim::Envelope& envelope, double now, bool redelivery) {
                     const DeliveryRuling ruling =
-                        churn_ruling(churn_plan_, envelope.from, envelope.to,
-                                     envelope.type, envelope.sent_at, now, redelivery);
+                        churn_ruling(churn_plan_, network_.name(envelope.from),
+                                     network_.name(envelope.to), envelope.type,
+                                     envelope.sent_at, now, redelivery);
                     sim::Network::DeliveryRuling out;
                     out.delay = ruling.delay;
                     out.note = ruling.note;
@@ -113,7 +116,7 @@ class SimDriver final : public Driver, public Clock, public Transport {
     }
     void note_compute_end(double time, const std::string& actor, std::uint64_t span_id,
                           std::uint64_t parent_id) override {
-        network_.trace().record(time, sim::TraceKind::kComputeEnd, actor, "", span_id,
+        network_.trace().record(time, sim::TraceKind::kComputeEnd, actor, {}, span_id,
                                 parent_id);
     }
     void note_churn(double time, const std::string& actor,
@@ -127,7 +130,7 @@ class SimDriver final : public Driver, public Clock, public Transport {
     [[nodiscard]] Transport& transport() override { return *this; }
 
     void attach(Endpoint& endpoint) override {
-        adapters_.push_back(std::make_unique<EndpointProcess>(endpoint));
+        adapters_.push_back(std::make_unique<EndpointProcess>(endpoint, network_));
         network_.attach(*adapters_.back());
     }
 

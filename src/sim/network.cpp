@@ -27,112 +27,116 @@ double Network::reserve_control(std::size_t bytes) {
 }
 
 void Network::attach(Process& process) {
-    const auto [it, inserted] = processes_.emplace(process.name(), &process);
-    (void)it;
-    if (!inserted) {
+    const auto at = lower_bound(process.name());
+    if (at != processes_.end() && at->process->name() == process.name()) {
         throw std::invalid_argument("Network: duplicate process name: " + process.name());
     }
+    processes_.insert(at, Attached{trace_.intern(process.name()), &process});
 }
 
-bool Network::has_process(const std::string& name) const {
-    return processes_.contains(name);
+std::vector<Network::Attached>::const_iterator Network::lower_bound(
+    std::string_view name) const {
+    return std::lower_bound(
+        processes_.begin(), processes_.end(), name,
+        [](const Attached& attached, std::string_view key) {
+            return attached.process->name() < key;
+        });
 }
 
-Process& Network::recipient(const std::string& name) const {
-    const auto it = processes_.find(name);
-    if (it == processes_.end()) {
+const Network::Attached& Network::recipient(const std::string& name) const {
+    const auto it = lower_bound(name);
+    if (it == processes_.end() || it->process->name() != name) {
         throw std::logic_error("Network: unknown recipient: " + name);
     }
-    return *it->second;
+    return *it;
 }
 
 void Network::start() {
-    for (auto& [name, process] : processes_) {
-        Process* p = process;
+    for (const Attached& attached : processes_) {
+        Process* p = attached.process;
         simulator_.schedule_after(0.0, [p] { p->on_start(); });
     }
 }
 
 void Network::deliver(Process& recipient, const Envelope& envelope, bool redelivery) {
     if (interceptor_) {
-        const DeliveryRuling ruling = interceptor_(envelope, simulator_.now(), redelivery);
+        DeliveryRuling ruling = interceptor_(envelope, simulator_.now(), redelivery);
         if (ruling.action == DeliveryAction::kDrop) {
-            trace_.record(simulator_.now(), TraceKind::kChurn, envelope.to, ruling.note,
-                          envelope.span_id);
+            trace_.record_note(simulator_.now(), TraceKind::kChurn, envelope.to,
+                               std::move(ruling.note), envelope.span_id);
             return;
         }
         if (ruling.action == DeliveryAction::kDelay) {
-            trace_.record(simulator_.now(), TraceKind::kChurn, envelope.to, ruling.note,
-                          envelope.span_id);
+            trace_.record_note(simulator_.now(), TraceKind::kChurn, envelope.to,
+                               std::move(ruling.note), envelope.span_id);
             simulator_.schedule_after(ruling.delay, [this, &recipient, e = envelope] {
                 deliver(recipient, e, true);
             });
             return;
         }
     }
-    trace_.record(simulator_.now(), TraceKind::kMessageDelivered, envelope.to,
-                  "from=" + envelope.from + " type=" + std::to_string(envelope.type),
-                  envelope.span_id);
+    trace_.record_delivery(simulator_.now(), envelope.to, envelope.from, envelope.type,
+                           envelope.span_id);
     recipient.on_message(envelope);
 }
 
 void Network::send(const std::string& from, const std::string& to, std::uint32_t type,
                    util::Frame frame, std::uint64_t span_id) {
-    Process& target = recipient(to);
+    const Attached& target = recipient(to);
+    const Slot sender = trace_.intern(from);
     metrics_.count_control(frame.size());
-    trace_.record(simulator_.now(), TraceKind::kMessageSent, from,
-                  "to=" + to + " type=" + std::to_string(type) +
-                      " bytes=" + std::to_string(frame.size()),
-                  span_id);
+    trace_.record_send(simulator_.now(), sender, target.slot, type, frame.size(), span_id);
     const double deliver_at = reserve_control(frame.size());
-    simulator_.schedule_at(deliver_at, [this, &target,
-                                        e = Envelope{from, to, type, std::move(frame),
-                                                     simulator_.now(), span_id}] {
-        deliver(target, e);
+    simulator_.schedule_at(deliver_at, [this, process = target.process,
+                                        e = Envelope{sender, target.slot, type,
+                                                     std::move(frame), simulator_.now(),
+                                                     span_id}] {
+        deliver(*process, e);
     });
 }
 
 void Network::broadcast(const std::string& from, std::uint32_t type, util::Frame frame,
                         std::uint64_t span_id) {
+    const auto at = lower_bound(from);
+    const bool attached = at != processes_.end() && at->process->name() == from;
+    const Slot sender = attached ? at->slot : trace_.intern(from);
     metrics_.count_control(frame.size());
-    trace_.record(simulator_.now(), TraceKind::kMessageSent, from,
-                  "to=* type=" + std::to_string(type) +
-                      " bytes=" + std::to_string(frame.size()),
-                  span_id);
+    trace_.record_broadcast(simulator_.now(), sender, type, frame.size(), span_id);
     // Atomic broadcast: one bus transmission, simultaneous delivery to all.
     const double deliver_at = reserve_control(frame.size());
-    const std::size_t recipients = processes_.size() - (processes_.contains(from) ? 1 : 0);
+    const std::size_t recipients = processes_.size() - (attached ? 1 : 0);
     // One envelope for the whole fan-out, readdressed to each recipient in
     // turn; `next` walks the processes in name order, skipping the sender.
     simulator_.schedule_fanout_at(
         deliver_at, recipients,
-        [this, next = processes_.begin(),
-         e = Envelope{from, {}, type, std::move(frame), simulator_.now(), span_id}]() mutable {
-            if (next->first == e.from) ++next;
-            e.to = next->first;
-            Process& target = *next->second;
-            ++next;
-            deliver(target, e);
+        [this, next = std::size_t{0},
+         e = Envelope{sender, kNoName, type, std::move(frame), simulator_.now(),
+                      span_id}]() mutable {
+            if (processes_[next].slot == e.from) ++next;
+            const Attached& target = processes_[next++];
+            e.to = target.slot;
+            deliver(*target.process, e);
         });
 }
 
 void Network::transfer_load(const std::string& from, const std::string& to, double units,
                             std::uint32_t type, util::Frame frame,
                             std::uint64_t span_id) {
-    Process& target = recipient(to);
+    const Attached& target = recipient(to);
     if (units < 0.0) throw std::invalid_argument("Network: negative load transfer");
+    const Slot sender = trace_.intern(from);
     const double start = std::max(simulator_.now(), bus_busy_until_);
     const double end = start + units * z_;
     bus_busy_until_ = end;
     metrics_.count_load_transfer(units);
-    trace_.record(start, TraceKind::kLoadTransferStart, from,
-                  "to=" + to + " units=" + std::to_string(units), span_id);
-    simulator_.schedule_at(end, [this, &target, units,
-                                 e = Envelope{from, to, type, std::move(frame),
+    trace_.record_transfer(start, TraceKind::kLoadTransferStart, sender, target.slot,
+                           units, span_id);
+    simulator_.schedule_at(end, [this, process = target.process, units,
+                                 e = Envelope{sender, target.slot, type, std::move(frame),
                                               simulator_.now(), span_id}] {
-        trace_.record(simulator_.now(), TraceKind::kLoadTransferEnd, e.from,
-                      "to=" + e.to + " units=" + std::to_string(units), e.span_id);
-        deliver(target, e);
+        trace_.record_transfer(simulator_.now(), TraceKind::kLoadTransferEnd, e.from, e.to,
+                               units, e.span_id);
+        deliver(*process, e);
     });
 }
 

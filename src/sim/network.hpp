@@ -13,12 +13,20 @@
 // types are small integers owned by the protocol layer. Every message
 // travels as one immutable util::Frame: a broadcast's recipients all
 // receive the same frame, never a copy of its bytes.
+//
+// Processes are addressed by slot. A slot is the id the process's name has
+// in the network's trace, assigned once at attach(); envelopes and trace
+// records carry slots, and name() renders one. Names are looked up only
+// where an API names a process (attach, send, transfer_load, a broadcast's
+// sender), O(m) times per run. A broadcast's Θ(m) deliveries walk the
+// attached processes in name order and build or look up no string.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
@@ -27,9 +35,12 @@
 
 namespace dlsbl::sim {
 
+// A process's slot: its name's NameId in the network's trace.
+using Slot = NameId;
+
 struct Envelope {
-    std::string from;
-    std::string to;            // the recipient (each one in turn for a broadcast)
+    Slot from = kNoName;
+    Slot to = kNoName;         // the recipient (each one in turn for a broadcast)
     std::uint32_t type = 0;    // protocol-defined discriminator
     util::Frame frame;         // shared by every recipient of one send
     double sent_at = 0.0;
@@ -66,10 +77,13 @@ class Network {
     Network(Simulator& simulator, double unit_comm_time, double control_latency = 0.0,
             double control_seconds_per_byte = 0.0);
 
-    // Processes are owned by the caller and must outlive the network.
+    // Processes are owned by the caller and must outlive the network. Attach
+    // every process before the first message: a broadcast in flight walks
+    // the attached processes by position.
     void attach(Process& process);
-    [[nodiscard]] bool has_process(const std::string& name) const;
-    [[nodiscard]] std::size_t process_count() const noexcept { return processes_.size(); }
+
+    // The name a slot stands for.
+    [[nodiscard]] const std::string& name(Slot slot) const { return trace_.name(slot); }
 
     // Fires every process's on_start() at the current simulated time.
     void start();
@@ -120,10 +134,17 @@ class Network {
     }
 
  private:
+    struct Attached {
+        Slot slot = kNoName;
+        Process* process = nullptr;
+    };
+
     // Hands `envelope` (addressed to `recipient`) to the interceptor, then
     // to the recipient.
     void deliver(Process& recipient, const Envelope& envelope, bool redelivery = false);
-    [[nodiscard]] Process& recipient(const std::string& name) const;
+    // The first attached process whose name is not below `name`.
+    [[nodiscard]] std::vector<Attached>::const_iterator lower_bound(std::string_view name) const;
+    [[nodiscard]] const Attached& recipient(const std::string& name) const;
     // Holds the bus for a control message of `bytes` when the bandwidth
     // model is on; returns the delivery time.
     double reserve_control(std::size_t bytes);
@@ -133,7 +154,8 @@ class Network {
     double control_latency_;
     double control_seconds_per_byte_;
     double bus_busy_until_ = 0.0;
-    std::map<std::string, Process*> processes_;
+    // Every attached process, in name order: the broadcast fan-out order.
+    std::vector<Attached> processes_;
     NetworkMetrics metrics_;
     TraceRecorder trace_;
     DeliveryInterceptor interceptor_;

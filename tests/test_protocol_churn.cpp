@@ -8,9 +8,11 @@
 // ledger, JSONL, trace, catapult, metrics) byte for byte.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "agents/zoo.hpp"
 #include "obs/catapult.hpp"
@@ -287,6 +289,67 @@ TEST(ChurnScenarios, DelayWindowOnlyShiftsTimingNotMoney) {
         EXPECT_EQ(p.blocks_assigned, honest.processor(p.name).blocks_assigned) << p.name;
     }
     EXPECT_NE(run.run_metrics.find("dlsbl_churn_messages_total"), std::string::npos);
+}
+
+// ---- non-finite plan values: refused before the run starts -----------------
+
+TEST(ChurnScenarios, NonFinitePlanValuesAreRejected) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const ChurnEvent crash{"P3", 0.1, ChurnEventKind::kCrash};
+    struct Case {
+        const char* spec;
+        ChurnPlan plan;
+    };
+    std::vector<Case> cases;
+    const auto add = [&](const char* spec, const auto& edit) {
+        ChurnPlan plan;
+        edit(plan);
+        cases.push_back({spec, plan});
+    };
+    add("crash:P3@nan", [&](ChurnPlan& p) { p.events = {{"P3", nan, ChurnEventKind::kCrash}}; });
+    add("crash:P3@inf", [&](ChurnPlan& p) { p.events = {{"P3", inf, ChurnEventKind::kCrash}}; });
+    add("crash:P3@0.1;restart:P3@nan", [&](ChurnPlan& p) {
+        p.events = {crash, {"P3", nan, ChurnEventKind::kRestart}};
+    });
+    add("delay:P1@0-0.1+inf", [&](ChurnPlan& p) { p.delays = {{"P1", 0.0, 0.1, inf}}; });
+    add("delay:P1@0-0.1+nan", [&](ChurnPlan& p) { p.delays = {{"P1", 0.0, 0.1, nan}}; });
+    add("delay:P1@0-nan+0.05", [&](ChurnPlan& p) { p.delays = {{"P1", 0.0, nan, 0.05}}; });
+    add("loss:P2@nan-0.4", [&](ChurnPlan& p) { p.losses = {{"P2", nan, 0.4}}; });
+    add("loss:P2@0.2-nan", [&](ChurnPlan& p) { p.losses = {{"P2", 0.2, nan}}; });
+    add("crash:P3@0.1;policy:bid=nan", [&](ChurnPlan& p) {
+        p.events = {crash};
+        p.policy.bid_timeout = nan;
+    });
+    add("crash:P3@0.1;policy:detect=nan", [&](ChurnPlan& p) {
+        p.events = {crash};
+        p.policy.detection_timeout = nan;
+    });
+    add("crash:P3@0.1;policy:grace=nan", [&](ChurnPlan& p) {
+        p.events = {crash};
+        p.policy.processing_grace = nan;
+    });
+    add("crash:P3@0.1;policy:pay=inf", [&](ChurnPlan& p) {
+        p.events = {crash};
+        p.policy.payment_timeout = inf;
+    });
+    for (const auto& c : cases) {
+        EXPECT_FALSE(ChurnPlan::parse(c.spec).has_value()) << c.spec;
+        auto config = base_config();
+        config.churn_plan = c.plan;
+        EXPECT_THROW(config.validate(), std::invalid_argument) << c.spec;
+    }
+    // A window may stay open: an end of +inf parses, validates and settles.
+    for (const char* spec : {"delay:P1@0-inf+0.05", "loss:P3@0.4-inf"}) {
+        const auto plan = ChurnPlan::parse(spec);
+        ASSERT_TRUE(plan.has_value()) << spec;
+        auto config = base_config();
+        config.churn_plan = *plan;
+        EXPECT_NO_THROW(config.validate()) << spec;
+        const auto outcome = run_protocol(config);
+        EXPECT_FALSE(outcome.terminated_early) << spec;
+        EXPECT_GT(outcome.user_paid, 0.0) << spec;
+    }
 }
 
 // ---- churn + deviant: offenses still caught under failures ------------------

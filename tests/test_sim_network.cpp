@@ -52,7 +52,7 @@ TEST(Network, UnicastDeliversToRecipientOnly) {
     f.net.send("A", "B", 7, util::to_bytes("hello"));
     f.sim.run();
     ASSERT_EQ(f.b.inbox.size(), 1u);
-    EXPECT_EQ(f.b.inbox[0].from, "A");
+    EXPECT_EQ(f.net.name(f.b.inbox[0].from), "A");
     EXPECT_EQ(f.b.inbox[0].type, 7u);
     EXPECT_EQ(bytes_of(f.b.inbox[0]), util::to_bytes("hello"));
     EXPECT_TRUE(f.a.inbox.empty());
@@ -86,7 +86,8 @@ TEST(Network, EqualTimeOrderAcrossFanOuts) {
         Logger(std::string name, std::vector<std::string>& log, Simulator& sim, Network& net)
             : Process(std::move(name)), log_(log), sim_(sim), net_(net) {}
         void on_message(const Envelope& envelope) override {
-            log_.push_back(name() + "<-" + envelope.from + ":" + std::to_string(envelope.type));
+            log_.push_back(name() + "<-" + net_.name(envelope.from) + ":" +
+                           std::to_string(envelope.type));
             if (name() == "B" && envelope.type == 1) {
                 sim_.schedule_after(0.0, [this] { log_.push_back("B:timer"); });
                 net_.send("B", "A", 7, util::to_bytes("re"));
@@ -102,11 +103,11 @@ TEST(Network, EqualTimeOrderAcrossFanOuts) {
         d{"D", log, sim, net};
     for (Process* p : std::initializer_list<Process*>{&d, &b, &a, &c}) net.attach(*p);
     net.set_delivery_interceptor(
-        [](const Envelope& envelope, double, bool redelivery) -> Network::DeliveryRuling {
-            if (envelope.type == 1 && envelope.to == "C") {
+        [&net](const Envelope& envelope, double, bool redelivery) -> Network::DeliveryRuling {
+            if (envelope.type == 1 && net.name(envelope.to) == "C") {
                 return {Network::DeliveryAction::kDrop, 0.0, "cut"};
             }
-            if (envelope.type == 2 && envelope.to == "D" && !redelivery) {
+            if (envelope.type == 2 && net.name(envelope.to) == "D" && !redelivery) {
                 return {Network::DeliveryAction::kDelay, 0.25, "late"};
             }
             return {};
@@ -124,7 +125,7 @@ TEST(Network, EqualTimeOrderAcrossFanOuts) {
     std::vector<std::string> records;
     for (const auto& event : net.trace().events()) {
         records.push_back(std::to_string(event.time) + " " + to_string(event.kind) + " " +
-                          event.actor + " " + event.detail);
+                          net.trace().actor(event) + " " + net.trace().detail(event));
     }
     EXPECT_EQ(records, (std::vector<std::string>{
                            "0.000000 msg-sent A to=* type=1 bytes=3",

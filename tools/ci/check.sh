@@ -98,6 +98,16 @@ step "payment rows (bit-exact)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '(PaymentRowsBitExact|asan\..*PaymentRowsBitExact)'
 
+step "trace exports (pinned)"
+# The full ctest above already ran these; re-running the pinned export
+# digests (render, catapult, Gantt bars and per-actor counts over runs that
+# record every trace kind) and the network suite (fan-out order, slots,
+# interceptor redelivery), plain and under the asan. variant, keeps a
+# rendering drift in the fixed-size trace records legible in CI logs on
+# its own line.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+    -R '^(asan\.)?(TraceExportsPinned|Network)\.'
+
 step "native-arch payment bits ($BUILD_DIR-native)"
 # The payment-row suite again, built with -march=native: its bit-exact
 # comparisons fail if a*b + c is contracted into an FMA, which the
