@@ -6,10 +6,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "dlt/closed_form.hpp"
-#include "mech/dls_bl.hpp"
-#include "protocol/blocks.hpp"
-
 namespace dlsbl::protocol {
 
 const char* to_string(ChurnEventKind kind) noexcept {
@@ -401,73 +397,6 @@ DeliveryRuling churn_ruling(const ChurnPlan& plan, const std::string& from,
         }
     }
     return ruling;
-}
-
-// ---- pro-rata settlement ---------------------------------------------------
-
-std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& inputs) {
-    std::vector<double> q(inputs.names.size(), 0.0);
-    // Active bidders in original index order — the subset the mechanism ran
-    // over after bid-deadline exclusions.
-    std::vector<std::size_t> active_index;
-    std::vector<double> bids;
-    for (std::size_t i = 0; i < inputs.names.size(); ++i) {
-        const auto& name = inputs.names[i];
-        if (inputs.excluded.contains(name)) continue;
-        const auto bid = inputs.bids.find(name);
-        if (bid == inputs.bids.end()) continue;
-        active_index.push_back(i);
-        bids.push_back(bid->second);
-    }
-    // The leave-one-out bonus needs at least two participants.
-    if (bids.size() < 2 || inputs.block_count == 0) return q;
-
-    dlt::ProblemInstance instance{inputs.kind, inputs.z, bids};
-    const auto alpha = dlt::optimal_allocation(instance);
-    const auto original = DataSet::blocks_for_allocation(inputs.block_count, alpha);
-
-    // Execution rates from the meters, over the *realized* fraction: a
-    // processor that ran `final` blocks in φ seconds demonstrated rate
-    // φ / (final / B). Unfinished meters fall back to the bid (§4 payments).
-    std::vector<double> exec(bids.size());
-    std::vector<std::size_t> final_counts(bids.size());
-    for (std::size_t j = 0; j < active_index.size(); ++j) {
-        const auto& name = inputs.names[active_index[j]];
-        const auto final_it = inputs.final_counts.find(name);
-        const std::size_t final_blocks =
-            final_it != inputs.final_counts.end() ? final_it->second : original[j];
-        final_counts[j] = final_blocks;
-        const double fraction =
-            static_cast<double>(final_blocks) / static_cast<double>(inputs.block_count);
-        const auto phi = inputs.phis.find(name);
-        if (fraction > 0.0 && phi != inputs.phis.end()) {
-            exec[j] = phi->second / fraction;
-        } else {
-            exec[j] = bids[j];
-        }
-    }
-
-    mech::DlsBl mechanism(inputs.kind, inputs.z, bids);
-    const auto breakdown = mechanism.payments(exec);
-    for (std::size_t j = 0; j < active_index.size(); ++j) {
-        const double mechanism_q = breakdown.payment[j];
-        double value = mechanism_q;
-        if (final_counts[j] != original[j]) {
-            if (original[j] > 0) {
-                // Pro-rata: pay the mechanism's Q_j scaled by realized work.
-                value = mechanism_q * (static_cast<double>(final_counts[j]) /
-                                       static_cast<double>(original[j]));
-            } else {
-                // Zero-share survivor that picked up reallocated blocks:
-                // compensate the extra work at its demonstrated rate.
-                value = mechanism_q +
-                        exec[j] * (static_cast<double>(final_counts[j]) /
-                                   static_cast<double>(inputs.block_count));
-            }
-        }
-        q[active_index[j]] = value;
-    }
-    return q;
 }
 
 }  // namespace dlsbl::protocol

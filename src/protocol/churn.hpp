@@ -9,20 +9,17 @@
 // The paper proves truthfulness on a *static* bus; the plan plus the
 // referee's churn responses (bid-deadline exclusion, processing watchdog,
 // NCP-NFE reallocation of a dead processor's remaining blocks, pro-rata
-// settlement for partial work — see DESIGN.md "Churn model") make the
-// failure-prone workload expressible so the property harness can test
-// where dominance survives.
+// settlement for partial work in settlement.hpp — see DESIGN.md "Churn
+// model") make the failure-prone workload expressible so the property
+// harness can test where dominance survives.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "dlt/types.hpp"
 #include "util/bytes.hpp"
 
 namespace dlsbl::protocol {
@@ -125,29 +122,5 @@ struct DeliveryRuling {
 DeliveryRuling churn_ruling(const ChurnPlan& plan, const std::string& from,
                             const std::string& to, std::uint32_t wire_type,
                             double sent_at, double now, bool redelivery);
-
-// ---- pro-rata settlement under churn ---------------------------------------
-//
-// After exclusions and reallocation the realized division of blocks differs
-// from what the closed form assigned to the bidders. The canonical churn
-// settlement runs the DLS-BL mechanism over the *active* bidders (original
-// index order) and scales each Q_i by realized/original block share; dead
-// processors keep the pay for work their meter proved before the crash, and
-// excluded processors get exactly 0. Every honest node and the referee
-// compute this same vector bit-for-bit.
-struct ChurnSettlementInputs {
-    dlt::NetworkKind kind = dlt::NetworkKind::kNcpFE;
-    double z = 0.0;
-    std::size_t block_count = 0;
-    std::vector<std::string> names;              // all processors, index order
-    std::set<std::string> excluded;              // bid-deadline exclusions
-    std::map<std::string, double> bids;          // active bidders only
-    std::map<std::string, std::size_t> final_counts;  // post-realloc blocks
-    std::map<std::string, double> phis;          // finished meter readings
-};
-
-// Full-size payment vector (names.size() entries, zeros for excluded).
-// Returns all-zeros when fewer than two active bidders remain.
-std::vector<double> churn_settlement_payments(const ChurnSettlementInputs& inputs);
 
 }  // namespace dlsbl::protocol

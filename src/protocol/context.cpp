@@ -1,5 +1,6 @@
 #include "protocol/context.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/event.hpp"
@@ -53,8 +54,16 @@ void ProtocolConfig::validate() const {
             "ProtocolConfig: mss_height == 0 (one signature) cannot sign a bid and a "
             "payment vector");
     }
-    if (control_latency < 0.0) {
-        throw std::invalid_argument("ProtocolConfig: negative control latency");
+    // Fines are amounts and control timing is durations, so each is finite
+    // and >= 0 (written so that NaN fails). 0 is legal: E12 sweeps the
+    // safety factor from 0, and free control traffic is the paper's model.
+    const auto amount = [](double value) { return std::isfinite(value) && value >= 0.0; };
+    if (!amount(fine_policy.safety_factor) ||
+        (fine_policy.fixed_fine.has_value() && !amount(*fine_policy.fixed_fine))) {
+        throw std::invalid_argument("ProtocolConfig: fine not finite and >= 0");
+    }
+    if (!amount(control_latency) || !amount(control_seconds_per_byte)) {
+        throw std::invalid_argument("ProtocolConfig: control timing not finite and >= 0");
     }
     if (churn_plan.enabled()) {
         churn_plan.validate();

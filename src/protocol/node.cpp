@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dlt/closed_form.hpp"
-#include "mech/dls_bl.hpp"
 #include "obs/profiler.hpp"
 #include "protocol/wire.hpp"
 #include "util/logging.hpp"
@@ -234,35 +232,17 @@ void NodeCore::maybe_finish_bidding() {
     if (bidding_finished_ || active_recorded_ != active_count_) return;
     bidding_finished_ = true;
 
-    // Everyone computes the allocation locally (Algorithm 2.1 or 2.2), over
-    // the active set, scattered back to full-size vectors (zeros for the
-    // excluded) so downstream indexing stays uniform.
-    std::vector<std::size_t> active;
-    std::vector<double> bids;
-    active.reserve(active_count_);
-    bids.reserve(active_count_);
-    for (std::size_t j = 0; j < ctx_.processor_count(); ++j) {
-        if (excluded_[j] != 0) continue;
-        active.push_back(j);
-        bids.push_back(bid_values_[j]);
-    }
-    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, bids};
-    const auto sub_alpha = dlt::optimal_allocation(instance);
-    const auto sub_counts =
-        DataSet::blocks_for_allocation(ctx_.config().block_count, sub_alpha);
-    alpha_.assign(ctx_.processor_count(), 0.0);
-    block_counts_.assign(ctx_.processor_count(), 0);
-    for (std::size_t j = 0; j < active.size(); ++j) {
-        alpha_[active[j]] = sub_alpha[j];
-        block_counts_[active[j]] = sub_counts[j];
-    }
-    blocks_assigned_ = block_counts_[index_];
+    // Everyone computes the allocation locally (Algorithm 2.1 or 2.2) over
+    // the active set.
+    const ProtocolConfig& config = ctx_.config();
+    allocation_ = allocate(config.kind, config.z, config.block_count, bid_values_, excluded_);
+    blocks_assigned_ = allocation_.blocks[index_];
 
     // F becomes public the moment bids are public (§4: "All parties are
     // aware of the magnitude of F").
     double predicted_compensation = 0.0;
-    for (std::size_t j = 0; j < bids.size(); ++j) {
-        predicted_compensation += sub_alpha[j] * bids[j];
+    for (std::size_t j = 0; j < bid_values_.size(); ++j) {
+        if (excluded_[j] == 0) predicted_compensation += allocation_.alpha[j] * bid_values_[j];
     }
     ctx_.post_fine(predicted_compensation);
 
@@ -280,13 +260,11 @@ void NodeCore::maybe_finish_bidding() {
 void NodeCore::ship_loads() {
     // Assignment of concrete block ids: contiguous ranges in processor
     // order — deterministic, so every party can reconstruct it.
-    std::vector<std::size_t> start(ctx_.processor_count(), 0);
-    for (std::size_t i = 1; i < block_counts_.size(); ++i) {
-        start[i] = start[i - 1] + block_counts_[i - 1];
-    }
+    const std::vector<std::size_t>& blocks = allocation_.blocks;
+    const std::vector<std::size_t> start = block_starts(blocks);
     for (std::size_t i = 0; i < ctx_.processor_count(); ++i) {
         if (i == index_) continue;
-        std::size_t count = block_counts_[i];
+        std::size_t count = blocks[i];
         // Offense (ii): mis-sized assignments.
         // 1.0 is the "ship honestly" sentinel default, never computed.
         // DLSBL_LINT_ALLOW(float-equality)
@@ -294,7 +272,7 @@ void NodeCore::ship_loads() {
             count = static_cast<std::size_t>(
                 std::floor(static_cast<double>(count) * strategy_.lo_ship_factor));
         }
-        if (count == 0 && block_counts_[i] == 0) continue;
+        if (count == 0 && blocks[i] == 0) continue;
         // Over-shipping runs past the intended range into the LO's own
         // blocks, so every extra block is still authentic.
         std::vector<std::uint64_t> ids(count);
@@ -311,13 +289,13 @@ void NodeCore::ship_loads() {
     // The LO's own share never crosses the bus.
     if (ctx_.config().kind == dlt::NetworkKind::kNcpFE) {
         // Front end: compute concurrently with the outgoing transfers.
-        begin_processing(block_counts_[index_]);
+        begin_processing(blocks_assigned_);
     } else {
         // No front end (Figure 3): computation starts only after the last
         // outbound transfer releases the one-port bus.
         const double free_at = ctx_.transport().bus_free_at();
         ctx_.clock().call_at(free_at, [this] {
-            if (!ctx_.terminated()) begin_processing(block_counts_[index_]);
+            if (!ctx_.terminated()) begin_processing(blocks_assigned_);
         });
     }
 }
@@ -446,39 +424,35 @@ void NodeCore::handle_meter_broadcast(const WireMessage& message) {
         // first copy fell into a loss window), and not from an excluded node.
         if (payment_submitted_ || excluded_self_) return;
         payment_submitted_ = true;
+    }
+    {
         OBS_SCOPE("payments");
-        payment_vector_ = churn_payment_vector(*view);
-    } else {
-        OBS_SCOPE("payments");
-        // w̃_j = φ_j / α_j (§4 Computing Payments) — with block-granular
-        // loads, α_j is the fraction actually assigned, blocks_j /
-        // block_count.
-        const std::size_t m = ctx_.processor_count();
-        std::vector<double> phi(m);
-        std::vector<std::uint8_t> metered(m, 0);
+        std::vector<std::optional<double>> phi(ctx_.processor_count());
         wire::Cursor phis = view->phis;
         for (std::uint64_t k = 0; k < view->phi_count; ++k) {
             const auto j = ctx_.find_index(phis.str());
             const double value = phis.f64();
-            if (j) {
-                phi[*j] = value;
-                metered[*j] = 1;
+            if (j) phi[*j] = value;
+        }
+        // Blocks actually run: the allocation, moved by a churn reallocation.
+        std::vector<std::size_t> realized;
+        if (realloc_dead_) {
+            realized = allocation_.blocks;
+            realized[*realloc_dead_] = static_cast<std::size_t>(realloc_dead_final_);
+            for (const auto& [j, count] : realloc_extras_) {
+                realized[j] += static_cast<std::size_t>(count);
             }
         }
-        std::vector<double> exec(m);
-        for (std::size_t j = 0; j < m; ++j) {
-            const double fraction = static_cast<double>(block_counts_[j]) /
-                                    static_cast<double>(ctx_.config().block_count);
-            if (fraction > 0.0 && metered[j] != 0) {
-                exec[j] = phi[j] / fraction;
-            } else {
-                // Zero-block degenerate share: fall back to the bid.
-                exec[j] = bid_values_[j];
-            }
-        }
-
-        const mech::DlsBl mechanism(ctx_.config().kind, ctx_.config().z, bid_values_);
-        payment_vector_ = mechanism.payments(std::span<const double>(exec)).payment;
+        const ProtocolConfig& config = ctx_.config();
+        payment_vector_ = settle_payments(
+            {.kind = config.kind,
+             .z = config.z,
+             .block_count = config.block_count,
+             .bids = bid_values_,
+             .excluded = excluded_,
+             .prescribed = allocation_.blocks,
+             .realized = realloc_dead_ ? realized : allocation_.blocks,
+             .phi = phi});
     }
 
     auto submit = [&](std::vector<double> q) {
@@ -599,32 +573,30 @@ void NodeCore::handle_realloc(const WireMessage& message) {
     const auto body = wire::ReallocView::parse(message.payload());
     if (!body || body->job_id != ctx_.job_id()) return;
     if (excluded_self_ || !bidding_finished_) return;
-    realloc_dead_ = std::string(body->dead);
+    // Names the referee sent that are not processors are ignored; without
+    // a known dead processor there is no range to reallocate from.
+    const auto dead = ctx_.find_index(body->dead);
+    if (!dead) return;
+    realloc_dead_ = dead;
     realloc_dead_final_ = body->dead_final;
     realloc_extras_.clear();
+    std::uint64_t mine = 0;
     wire::Cursor extras = body->extras;
     for (std::uint64_t k = 0; k < body->extra_count; ++k) {
-        const std::string_view pname = extras.str();
+        const auto j = ctx_.find_index(extras.str());
         const std::uint64_t count = extras.u64();
-        realloc_extras_.emplace_back(std::string(pname), count);
+        if (!j) continue;
+        realloc_extras_.emplace_back(*j, count);
+        if (*j == index_) mine = count;
     }
 
-    std::uint64_t mine = 0;
-    for (const auto& [pname, count] : realloc_extras_) {
-        if (pname == name()) mine = count;
-    }
     if (is_load_origin()) {
-        // Re-derive the dead processor's contiguous block range (same
-        // prefix-sum rule as ship_loads) and ship its undone suffix,
+        // Ship the dead processor's undone suffix of its contiguous range,
         // partitioned over the extras in message order.
-        std::vector<std::size_t> start(ctx_.processor_count(), 0);
-        for (std::size_t i = 1; i < block_counts_.size(); ++i) {
-            start[i] = start[i - 1] + block_counts_[i - 1];
-        }
-        const std::size_t dead_start = start[ctx_.index_of(realloc_dead_)];
+        const std::size_t dead_start = block_starts(allocation_.blocks)[*dead];
         std::uint64_t offset = realloc_dead_final_;
-        for (const auto& [pname, count] : realloc_extras_) {
-            if (pname == name()) {
+        for (const auto& [j, count] : realloc_extras_) {
+            if (j == index_) {
                 offset += count;
                 continue;  // the LO's own share never crosses the bus
             }
@@ -633,6 +605,7 @@ void NodeCore::handle_realloc(const WireMessage& message) {
                 ids[k] = (dead_start + offset + k) % ctx_.config().block_count;
             }
             offset += count;
+            const std::string& pname = ctx_.processor_names()[j];
             const obs::SpanContext ship_span = ctx_.spans().instant(
                 "ship-extra:" + pname, name(), ctx_.clock().now(),
                 message.span_id != 0 ? message.span_id : ctx_.phase_span().span_id);
@@ -647,38 +620,6 @@ void NodeCore::handle_realloc(const WireMessage& message) {
     } else if (mine > 0) {
         extra_pending_ = static_cast<std::size_t>(mine);
     }
-}
-
-std::vector<double> NodeCore::churn_payment_vector(const wire::MeterVectorView& view) {
-    // Same inputs, same function, same vector as the referee's canonical
-    // settlement — any diverging submission is offense (iii).
-    ChurnSettlementInputs inputs;
-    inputs.kind = ctx_.config().kind;
-    inputs.z = ctx_.config().z;
-    inputs.block_count = ctx_.config().block_count;
-    inputs.names = ctx_.processor_names();
-    for (std::size_t j = 0; j < ctx_.processor_count(); ++j) {
-        const auto& pname = ctx_.processor_names()[j];
-        if (excluded_[j] != 0) {
-            inputs.excluded.insert(pname);
-            continue;
-        }
-        inputs.bids[pname] = bid_values_[j];
-        std::size_t final_count = block_counts_[j];
-        if (pname == realloc_dead_) {
-            final_count = static_cast<std::size_t>(realloc_dead_final_);
-        }
-        inputs.final_counts[pname] = final_count;
-    }
-    for (const auto& [pname, count] : realloc_extras_) {
-        inputs.final_counts[pname] += static_cast<std::size_t>(count);
-    }
-    wire::Cursor phis = view.phis;
-    for (std::uint64_t k = 0; k < view.phi_count; ++k) {
-        const std::string_view processor = phis.str();
-        inputs.phis[std::string(processor)] = phis.f64();
-    }
-    return churn_settlement_payments(inputs);
 }
 
 }  // namespace dlsbl::protocol

@@ -22,6 +22,7 @@
 #include "protocol/context.hpp"
 #include "protocol/dispatch.hpp"
 #include "protocol/endpoint.hpp"
+#include "protocol/settlement.hpp"
 #include "protocol/verify_queue.hpp"
 #include "protocol/wire.hpp"
 
@@ -47,7 +48,9 @@ class NodeCore final : public Endpoint {
     [[nodiscard]] double exec_rate() const noexcept { return exec_rate_; }
     [[nodiscard]] std::size_t blocks_assigned() const noexcept { return blocks_assigned_; }
     [[nodiscard]] std::size_t blocks_received() const noexcept { return valid_received_; }
-    [[nodiscard]] const std::vector<double>& allocation() const noexcept { return alpha_; }
+    [[nodiscard]] const std::vector<double>& allocation() const noexcept {
+        return allocation_.alpha;
+    }
     [[nodiscard]] const std::vector<double>& payment_vector() const noexcept {
         return payment_vector_;
     }
@@ -94,10 +97,6 @@ class NodeCore final : public Endpoint {
     void handle_meter_broadcast(const WireMessage& message);
     void handle_exclude(const WireMessage& message);
     void handle_realloc(const WireMessage& message);
-    // Canonical settlement over the surviving bidders (churn mode's
-    // replacement for the mech::DlsBl payment computation).
-    [[nodiscard]] std::vector<double> churn_payment_vector(
-        const wire::MeterVectorView& view);
     void handle_bid_vector_request();
     void handle_mediate_request(const WireMessage& message);
     void file_complaint(AllocComplaintKind kind, std::size_t expected, std::size_t received,
@@ -136,8 +135,7 @@ class NodeCore final : public Endpoint {
     bool false_accused_ = false;
     bool bidding_finished_ = false;
 
-    std::vector<double> alpha_;               // closed-form allocation from bids
-    std::vector<std::size_t> block_counts_;   // block-rounded assignment
+    Allocation allocation_;                   // computed from the bids, by id
     std::size_t blocks_assigned_ = 0;
     std::size_t valid_received_ = 0;
     std::vector<BlockBatch> held_batches_;    // authentic batches received
@@ -154,9 +152,12 @@ class NodeCore final : public Endpoint {
     bool excluded_self_ = false;
     std::size_t extra_pending_ = 0;      // reallocated blocks awaiting delivery
     std::size_t extra_received_ = 0;
-    std::string realloc_dead_;
+    // The referee's kRealloc, by processor id: the dead processor, the
+    // blocks it finished, and the extras granted to survivors in message
+    // order.
+    std::optional<std::size_t> realloc_dead_;
     std::uint64_t realloc_dead_final_ = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> realloc_extras_;
+    std::vector<std::pair<std::size_t, std::uint64_t>> realloc_extras_;
     bool payment_submitted_ = false;
 };
 

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "dlt/closed_form.hpp"
-#include "mech/dls_bl.hpp"
 #include "obs/event.hpp"
 #include "obs/profiler.hpp"
 #include "util/logging.hpp"
@@ -261,18 +259,12 @@ std::set<std::string> RefereeCore::validate_bid_vectors() {
     }
     std::vector<std::uint8_t> verdicts(screened.size());
     static_assert(sizeof(bool) == 1);
-    if (ctx_.config().verify_batch > 1) {
-        std::vector<crypto::Pki::VerifyRequest> requests(screened.size());
-        for (std::size_t i = 0; i < screened.size(); ++i) {
-            requests[i] = {&screened[i].entry->signer, screened[i].entry->payload,
-                           screened[i].entry->signature};
-        }
-        ctx_.pki().verify_many(requests, reinterpret_cast<bool*>(verdicts.data()));
-    } else {
-        for (std::size_t i = 0; i < screened.size(); ++i) {
-            verdicts[i] = screened[i].entry->verify(ctx_.pki()) ? 1 : 0;
-        }
+    std::vector<crypto::Pki::VerifyRequest> requests(screened.size());
+    for (std::size_t i = 0; i < screened.size(); ++i) {
+        requests[i] = {&screened[i].entry->signer, screened[i].entry->payload,
+                       screened[i].entry->signature};
     }
+    ctx_.pki().verify_many(requests, reinterpret_cast<bool*>(verdicts.data()));
     // Pass 2: canonical-bid dedup over the verified entries, same order.
     // value_of[processor] -> (payload bytes, bid) from the first valid entry.
     std::map<std::string, std::pair<util::Bytes, double>, std::less<>> canonical;
@@ -332,22 +324,46 @@ bool RefereeCore::covers_bidders(const BidVectorBody& body) const {
     return active.size() == churn_active_count();
 }
 
-std::vector<std::size_t> RefereeCore::prescribed_counts(
-    const std::map<std::string, double>& bids) const {
-    std::vector<std::size_t> active;
-    std::vector<double> active_bids;
-    for (std::size_t i = 0; i < ctx_.processor_count(); ++i) {
+std::vector<std::uint8_t> RefereeCore::excluded_ids() const {
+    std::vector<std::uint8_t> excluded(ctx_.processor_count(), 0);
+    for (const auto& processor : churn_excluded_) excluded[ctx_.index_of(processor)] = 1;
+    return excluded;
+}
+
+std::vector<double> RefereeCore::bids_by_id(const std::map<std::string, double>& bids) const {
+    std::vector<double> table(ctx_.processor_count(), 0.0);
+    for (std::size_t i = 0; i < table.size(); ++i) {
         const auto& processor = ctx_.processor_names()[i];
-        if (churn_excluded_.contains(processor)) continue;
-        active.push_back(i);
-        active_bids.push_back(bids.at(processor));
+        if (!churn_excluded_.contains(processor)) table[i] = bids.at(processor);
     }
-    dlt::ProblemInstance instance{ctx_.config().kind, ctx_.config().z, active_bids};
-    const auto alpha = dlt::optimal_allocation(instance);
-    const auto counts = DataSet::blocks_for_allocation(ctx_.config().block_count, alpha);
-    std::vector<std::size_t> full(ctx_.processor_count(), 0);
-    for (std::size_t j = 0; j < active.size(); ++j) full[active[j]] = counts[j];
-    return full;
+    return table;
+}
+
+Allocation RefereeCore::allocation_over(const std::map<std::string, double>& bids) const {
+    const ProtocolConfig& config = ctx_.config();
+    return allocate(config.kind, config.z, config.block_count, bids_by_id(bids),
+                    excluded_ids());
+}
+
+std::vector<double> RefereeCore::settlement_over(const std::map<std::string, double>& bids,
+                                                 std::span<const std::size_t> prescribed,
+                                                 std::span<const std::size_t> realized) const {
+    const std::vector<double> bid_table = bids_by_id(bids);
+    const std::vector<std::uint8_t> excluded = excluded_ids();
+    std::vector<std::optional<double>> phi(ctx_.processor_count());
+    for (std::size_t i = 0; i < phi.size(); ++i) {
+        const auto& processor = ctx_.processor_names()[i];
+        if (ctx_.meters().finished(processor)) phi[i] = ctx_.meters().elapsed(processor);
+    }
+    const ProtocolConfig& config = ctx_.config();
+    return settle_payments({.kind = config.kind,
+                            .z = config.z,
+                            .block_count = config.block_count,
+                            .bids = bid_table,
+                            .excluded = excluded,
+                            .prescribed = prescribed,
+                            .realized = realized,
+                            .phi = phi});
 }
 
 void RefereeCore::adjudicate_alloc_complaint() {
@@ -356,8 +372,9 @@ void RefereeCore::adjudicate_alloc_complaint() {
     const std::string& complainant = complaint.complainant;
 
     // Reconstruct the prescribed assignment from the verified bids.
-    const auto counts = prescribed_counts(verified_bids_);
-    const std::size_t expected = counts[ctx_.index_of(complainant)];
+    const std::vector<std::size_t> counts = allocation_over(verified_bids_).blocks;
+    const std::size_t complainant_index = ctx_.index_of(complainant);
+    const std::size_t expected = counts[complainant_index];
 
     // The shared bus is the witness (tamper-proof network, §4): what did the
     // LO actually put on the wire for the complainant?
@@ -396,9 +413,7 @@ void RefereeCore::adjudicate_alloc_complaint() {
         stage_ = DisputeStage::kAllocAwaitingMediation;
         MediateRequestBody request;
         request.beneficiary = complainant;
-        const std::size_t lo_index = ctx_.index_of(complainant);
-        std::size_t start = 0;
-        for (std::size_t i = 0; i < lo_index; ++i) start += counts[i];
+        const std::size_t start = block_starts(counts)[complainant_index];
         for (std::size_t k = valid; k < expected; ++k) {
             request.block_ids.push_back((start + k) % ctx_.config().block_count);
         }
@@ -582,35 +597,12 @@ void RefereeCore::evaluate_payments() {
     }
 }
 
-std::vector<double> RefereeCore::execution_values() const {
-    const std::size_t m = ctx_.processor_count();
-    const auto counts = prescribed_counts(verified_bids_);
-    std::vector<double> exec(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        const auto& processor = ctx_.processor_names()[i];
-        const double fraction = static_cast<double>(counts[i]) /
-                                static_cast<double>(ctx_.config().block_count);
-        if (fraction > 0.0 && ctx_.meters().finished(processor)) {
-            exec[i] = ctx_.meters().elapsed(processor) / fraction;
-        } else {
-            exec[i] = verified_bids_.at(processor);
-        }
-    }
-    return exec;
-}
-
 void RefereeCore::recompute_and_settle() {
     std::vector<double> payments;
     {
         OBS_SCOPE("payments");
-        const std::size_t m = ctx_.processor_count();
-        std::vector<double> bids(m);
-        for (std::size_t i = 0; i < m; ++i) {
-            bids[i] = verified_bids_.at(ctx_.processor_names()[i]);
-        }
-        const mech::DlsBl mechanism(ctx_.config().kind, ctx_.config().z, bids);
-        const auto exec = execution_values();
-        payments = mechanism.payments(std::span<const double>(exec)).payment;
+        const std::vector<std::size_t> counts = allocation_over(verified_bids_).blocks;
+        payments = settlement_over(verified_bids_, counts, counts);
     }
 
     std::set<std::string> wrong;
@@ -830,7 +822,8 @@ void RefereeCore::flush_deferred() {
 
 void RefereeCore::complete_churn_bidding() {
     churn_bids_complete_ = true;
-    churn_counts_ = prescribed_counts(churn_bids_);
+    churn_prescribed_ = allocation_over(churn_bids_).blocks;
+    churn_counts_ = churn_prescribed_;
     if (!churn_watchdog_scheduled_) {
         churn_watchdog_scheduled_ = true;
         ctx_.clock().call_after(ctx_.config().churn_plan.policy.processing_grace,
@@ -939,14 +932,9 @@ void RefereeCore::do_reallocate(const std::string& dead, std::size_t exec_blocks
     churn_counts_[dead_index] = assigned - remaining;
     churn_realloc_blocks_ = remaining;
 
-    std::vector<std::string> survivors;
-    std::vector<double> bids;
-    for (const auto& processor : ctx_.processor_names()) {
-        if (churn_excluded_.contains(processor) || processor == dead) continue;
-        survivors.push_back(processor);
-        bids.push_back(churn_bids_.at(processor));
-    }
-    if (survivors.empty()) {
+    std::vector<std::uint8_t> gone = excluded_ids();
+    gone[dead_index] = 1;
+    if (std::find(gone.begin(), gone.end(), 0) == gone.end()) {
         churn_terminate("no survivors for reallocation");
         return;
     }
@@ -956,23 +944,18 @@ void RefereeCore::do_reallocate(const std::string& dead, std::size_t exec_blocks
     body.dead = dead;
     body.dead_final = churn_dead_final_;
     if (remaining > 0) {
-        std::vector<std::size_t> extra_counts;
-        if (survivors.size() == 1) {
-            extra_counts.assign(1, remaining);
-        } else {
-            // The NCP-NFE closed form over the survivors' bids: the extra
-            // batch is received and then computed with no front end, the
-            // Figure 3 pattern, regardless of the run's primary kind.
-            dlt::ProblemInstance instance{dlt::NetworkKind::kNcpNFE, ctx_.config().z,
-                                          bids};
-            const auto alpha = dlt::optimal_allocation(instance);
-            extra_counts = DataSet::blocks_for_allocation(remaining, alpha);
-        }
+        // The NCP-NFE closed form over the survivors' bids: the extra batch
+        // is received and then computed with no front end, the Figure 3
+        // pattern, regardless of the run's primary kind.
+        const std::vector<std::size_t> extra_counts =
+            allocate(dlt::NetworkKind::kNcpNFE, ctx_.config().z, remaining,
+                     bids_by_id(churn_bids_), gone)
+                .blocks;
         std::ptrdiff_t granted = 0;
-        for (std::size_t j = 0; j < survivors.size(); ++j) {
+        for (std::size_t j = 0; j < extra_counts.size(); ++j) {
             if (extra_counts[j] == 0) continue;
-            body.extras.emplace_back(survivors[j], extra_counts[j]);
-            churn_counts_[ctx_.index_of(survivors[j])] += extra_counts[j];
+            body.extras.emplace_back(ctx_.processor_names()[j], extra_counts[j]);
+            churn_counts_[j] += extra_counts[j];
             ++granted;
         }
         // Every granted extra produces exactly one more execution completion.
@@ -1034,27 +1017,10 @@ void RefereeCore::maybe_finish_meters() {
 void RefereeCore::churn_evaluate_payments() {
     flush_deferred();  // settle over every submission that has arrived
     if (settled_ || ctx_.terminated()) return;
-    ChurnSettlementInputs inputs;
-    inputs.kind = ctx_.config().kind;
-    inputs.z = ctx_.config().z;
-    inputs.block_count = ctx_.config().block_count;
-    inputs.names = ctx_.processor_names();
-    inputs.excluded = churn_excluded_;
-    inputs.bids = churn_bids_;
-    for (std::size_t i = 0; i < ctx_.processor_count(); ++i) {
-        const auto& processor = ctx_.processor_names()[i];
-        if (churn_excluded_.contains(processor)) continue;
-        inputs.final_counts[processor] = churn_counts_[i];
-    }
-    for (const auto& processor : ctx_.processor_names()) {
-        if (ctx_.meters().finished(processor)) {
-            inputs.phis[processor] = ctx_.meters().elapsed(processor);
-        }
-    }
     std::vector<double> canonical;
     {
         OBS_SCOPE("payments");
-        canonical = churn_settlement_payments(inputs);
+        canonical = settlement_over(churn_bids_, churn_prescribed_, churn_counts_);
     }
 
     // Submitted vectors that disagree with the canonical settlement are

@@ -13,15 +13,18 @@
 // world only through the context's Clock/Transport pair.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "protocol/context.hpp"
 #include "protocol/dispatch.hpp"
 #include "protocol/endpoint.hpp"
+#include "protocol/settlement.hpp"
 #include "protocol/verify_queue.hpp"
 #include "protocol/wire.hpp"
 
@@ -124,10 +127,16 @@ class RefereeCore final : public Endpoint {
     // Does the vector hold a bid of every processor — under churn, of every
     // processor the bid deadline did not exclude?
     [[nodiscard]] bool covers_bidders(const BidVectorBody& body) const;
-    // Block counts of the allocation over `bids`, full size: excluded
-    // processors (churn mode) get 0 and need no bid.
-    [[nodiscard]] std::vector<std::size_t> prescribed_counts(
-        const std::map<std::string, double>& bids) const;
+    // The allocation and the settlement (settlement.hpp) over `bids`: a
+    // bid for every processor not excluded at the churn bid deadline.
+    // Settling reads the finished meters.
+    [[nodiscard]] Allocation allocation_over(const std::map<std::string, double>& bids) const;
+    [[nodiscard]] std::vector<double> settlement_over(
+        const std::map<std::string, double>& bids, std::span<const std::size_t> prescribed,
+        std::span<const std::size_t> realized) const;
+    // churn_excluded_ and `bids` by processor id (an excluded id reads 0).
+    [[nodiscard]] std::vector<std::uint8_t> excluded_ids() const;
+    [[nodiscard]] std::vector<double> bids_by_id(const std::map<std::string, double>& bids) const;
     void adjudicate_alloc_complaint();
     void evaluate_payments();
     void recompute_and_settle();
@@ -146,8 +155,6 @@ class RefereeCore final : public Endpoint {
     // Pays α_i w̃_i (= φ_i) to the commenced non-deviants, splits the
     // remaining pool, once every commenced meter has stopped.
     void finalize_termination_payouts();
-
-    [[nodiscard]] std::vector<double> execution_values() const;
 
     // --- churn machinery (DESIGN.md "Churn model"; only when the run's
     // --- churn plan is non-empty) --------------------------------------------
@@ -217,7 +224,8 @@ class RefereeCore final : public Endpoint {
     std::map<std::string, double> churn_bids_;      // first valid bid per sender
     std::size_t queued_unrecorded_bidders_ = 0;     // queued, not in churn_bids_
     std::set<std::string> churn_excluded_;          // missing at the bid deadline
-    std::vector<std::size_t> churn_counts_;         // prescribed blocks, full size
+    std::vector<std::size_t> churn_prescribed_;     // allocated blocks, by id
+    std::vector<std::size_t> churn_counts_;         // ... after reallocation
     bool churn_bids_complete_ = false;
     bool churn_watchdog_scheduled_ = false;
     std::size_t pending_adjudications_ = 0;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "agents/zoo.hpp"
@@ -19,6 +20,7 @@
 #include "protocol/dispatch.hpp"
 #include "protocol/messages.hpp"
 #include "protocol/runner.hpp"
+#include "protocol/settlement.hpp"
 #include "util/rng.hpp"
 
 namespace dlsbl {
@@ -374,37 +376,58 @@ TEST(FuzzCodecs, ChurnPlanSpecRoundTripsAndSurvivesGarbage) {
 
 TEST(FuzzCodecs, PartialMeterSettlementNeverCrashes) {
     // Mid-run churn hands the settlement partial information: meters missing
-    // for dead processors, counts missing for excluded ones, arbitrary
-    // subsets thereof. The canonical settlement must stay total: full-size
-    // vector, zeros for the excluded, no throw for any subset combination.
+    // for dead processors, excluded processors, counts that a reallocation
+    // moved, arbitrary subsets thereof. The settlement must stay total:
+    // full-size vector, zeros for the excluded, no throw for any subset
+    // combination. Callers hold a bid for every processor not excluded, so
+    // a processor without one is an excluded one here.
     util::Xoshiro256 rng{888};
-    const std::vector<std::string> names = {"P1", "P2", "P3", "P4"};
+    constexpr std::size_t m = 4;
     for (int trial = 0; trial < 2000; ++trial) {
-        protocol::ChurnSettlementInputs inputs;
+        protocol::SettlementInputs inputs;
         inputs.kind = trial % 2 == 0 ? dlt::NetworkKind::kNcpFE
                                      : dlt::NetworkKind::kNcpNFE;
         inputs.z = rng.uniform(0.05, 0.5);
         inputs.block_count = 120;
-        inputs.names = names;
-        for (const auto& name : names) {
-            if (rng.uniform() < 0.25) inputs.excluded.insert(name);
+        std::vector<std::uint8_t> excluded(m, 0);
+        std::vector<double> bids(m, 0.0);
+        std::vector<std::optional<std::size_t>> final_counts(m);
+        std::vector<std::optional<double>> phi(m);
+        for (std::size_t j = 0; j < m; ++j) {
+            if (rng.uniform() < 0.25) excluded[j] = 1;
         }
-        for (const auto& name : names) {
-            if (inputs.excluded.contains(name)) continue;
-            if (rng.uniform() < 0.9) inputs.bids[name] = rng.uniform(0.5, 3.0);
+        for (std::size_t j = 0; j < m; ++j) {
+            if (excluded[j] != 0) continue;
+            if (rng.uniform() < 0.9) {
+                bids[j] = rng.uniform(0.5, 3.0);
+            } else {
+                excluded[j] = 1;
+            }
             if (rng.uniform() < 0.8) {
-                inputs.final_counts[name] =
-                    static_cast<std::size_t>(rng.uniform_int(0, 120));
+                final_counts[j] = static_cast<std::size_t>(rng.uniform_int(0, 120));
             }
-            if (rng.uniform() < 0.7) inputs.phis[name] = rng.uniform(0.0, 2.0);
+            if (rng.uniform() < 0.7) phi[j] = rng.uniform(0.0, 2.0);
         }
-        const auto payments = protocol::churn_settlement_payments(inputs);
-        ASSERT_EQ(payments.size(), names.size());
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (inputs.excluded.contains(names[i])) {
-                EXPECT_EQ(payments[i], 0.0) << names[i];
+        std::vector<std::size_t> prescribed(m, 0);
+        if (std::count(excluded.begin(), excluded.end(), 0) > 0) {
+            prescribed = protocol::allocate(inputs.kind, inputs.z, inputs.block_count, bids,
+                                            excluded)
+                             .blocks;
+        }
+        std::vector<std::size_t> realized(m);
+        for (std::size_t j = 0; j < m; ++j) realized[j] = final_counts[j].value_or(prescribed[j]);
+        inputs.bids = bids;
+        inputs.excluded = excluded;
+        inputs.prescribed = prescribed;
+        inputs.realized = realized;
+        inputs.phi = phi;
+        const auto payments = protocol::settle_payments(inputs);
+        ASSERT_EQ(payments.size(), m);
+        for (std::size_t j = 0; j < m; ++j) {
+            if (excluded[j] != 0) {
+                EXPECT_EQ(payments[j], 0.0) << "P" << j + 1;
             }
-            EXPECT_TRUE(std::isfinite(payments[i])) << names[i];
+            EXPECT_TRUE(std::isfinite(payments[j])) << "P" << j + 1;
         }
     }
 }

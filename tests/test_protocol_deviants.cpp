@@ -385,6 +385,42 @@ TEST(Deviants, ConfigRejectsBidsOutsideTheRateDomain) {
     EXPECT_NO_THROW(config.validate());
 }
 
+TEST(Deviants, ConfigRejectsFinesAndTimingOutsideTheirDomain) {
+    // Fines are amounts and control timing is durations: each must be
+    // finite and >= 0. A payment cheater makes every run levy a fine.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto cheater_config = [] {
+        auto config = base_config();
+        config.strategies[2] = agents::payment_cheater();
+        return config;
+    };
+    for (const double value : {nan, -1.0, inf}) {
+        std::vector<ProtocolConfig> configs(4, cheater_config());
+        configs[0].fine_policy.fixed_fine = value;
+        configs[1].fine_policy.safety_factor = value;
+        configs[2].control_latency = value;
+        configs[3].control_seconds_per_byte = value;
+        for (std::size_t k = 0; k < configs.size(); ++k) {
+            EXPECT_THROW(configs[k].validate(), std::invalid_argument)
+                << "field " << k << " value=" << value;
+            EXPECT_THROW(run_protocol(configs[k]), std::invalid_argument)
+                << "field " << k << " value=" << value;
+        }
+    }
+    // 0 stays legal for each of them.
+    std::vector<ProtocolConfig> zeros(4, cheater_config());
+    zeros[0].fine_policy.fixed_fine = 0.0;
+    zeros[1].fine_policy.safety_factor = 0.0;
+    zeros[2].control_latency = 0.0;
+    zeros[3].control_seconds_per_byte = 0.0;
+    for (std::size_t k = 0; k < zeros.size(); ++k) {
+        EXPECT_NO_THROW(zeros[k].validate()) << "field " << k;
+        const auto outcome = run_protocol(zeros[k]);
+        EXPECT_TRUE(outcome.processor("P3").fined) << "field " << k;
+    }
+}
+
 TEST(Deviants, NoRewardsWithoutACheater) {
     const auto outcome = run_protocol(base_config());
     for (const auto& p : outcome.processors) {

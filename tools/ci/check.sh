@@ -108,6 +108,16 @@ step "trace exports (pinned)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '^(asan\.)?(TraceExportsPinned|Network)\.'
 
+step "settlement (pinned)"
+# The full ctest above already ran these; re-running the pinned settlement
+# suite (settled Q against DLS-BL restated from the outcome, and payment-
+# bit digests of churn runs: pro rata, a dead processor, exclusion under
+# both NCP kinds) and the honest-run suite, plain and under the asan.
+# variant, keeps a payment bit moved by the shared allocation and
+# settlement routines legible in CI logs on its own line.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+    -R '^(asan\.)?((NcpKinds/)?HonestRun|SettlementPinned)\.'
+
 step "native-arch payment bits ($BUILD_DIR-native)"
 # The payment-row suite again, built with -march=native: its bit-exact
 # comparisons fail if a*b + c is contracted into an FMA, which the
